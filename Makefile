@@ -110,11 +110,12 @@ bench:
 # The zero-steady-state-allocation contract of the batched decode path
 # (docs/PERFORMANCE.md): the testing.AllocsPerRun gates across the
 # hadamard kernels, the pipeline block decoder, the fixed-point core, the
-# telemetry hot path (Observe stays 0-alloc with rolling windows on), and
-# the frame-log append submission path.
+# telemetry hot path (Observe stays 0-alloc with rolling windows on), the
+# frame-log append submission path, and the frame decode into a pooled
+# frame.
 allocgate:
 	$(GO) test ./internal/hadamard ./internal/pipeline ./internal/fpga \
-		./internal/telemetry ./internal/framelog \
+		./internal/telemetry ./internal/framelog ./internal/frameio \
 		-run 'Allocs|DeconvolveToMatchesDeconvolve' -count=1
 
 # Refresh the decode-path benchmark ledger: the Micro* data-path

@@ -24,7 +24,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -65,12 +64,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "       framedump -log DIR|SEGMENT [-record SEQ] [flags]")
 		os.Exit(1)
 	}
-	f, err := os.Open(flag.Arg(0))
+	data, err := os.ReadFile(flag.Arg(0))
 	if err != nil {
 		fail("%v", err)
 	}
-	defer f.Close()
-	frame, meta, err := frameio.Read(f)
+	frame, meta, err := frameio.Decode(data, frameio.DefaultLimits(), nil)
 	if err != nil {
 		fail("%v", err)
 	}
@@ -218,7 +216,7 @@ func dumpLogRecord(path string, seq uint64, column int, profile bool) {
 	fmt.Printf("record seq %d: appended %s, trace id %#016x, %d payload bytes\n",
 		rec.Seq, logTime(rec.Time), rec.SID, len(rec.Payload))
 	fmt.Printf("options: path %s, deadline %v\n", opts.Path, opts.Deadline)
-	frame, meta, err := frameio.Read(newByteReader(frameBytes))
+	frame, meta, err := frameio.Decode(frameBytes, frameio.DefaultLimits(), nil)
 	if err != nil {
 		fail("record %d frame: %v", seq, err)
 	}
@@ -231,20 +229,4 @@ func logTime(ns int64) string {
 		return "-"
 	}
 	return time.Unix(0, ns).UTC().Format(time.RFC3339Nano)
-}
-
-// newByteReader adapts a slice for frameio's streaming decoder.
-func newByteReader(b []byte) io.Reader { return &byteReader{b: b} }
-
-// byteReader is a minimal forward-only reader over a slice.
-type byteReader struct{ b []byte }
-
-// Read copies out of the remaining slice.
-func (r *byteReader) Read(p []byte) (int, error) {
-	if len(r.b) == 0 {
-		return 0, io.EOF
-	}
-	n := copy(p, r.b)
-	r.b = r.b[n:]
-	return n, nil
 }

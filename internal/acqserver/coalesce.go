@@ -120,11 +120,13 @@ func (s *Server) serveBatch(sh *shard, ws *workerState, batch []*task, trigger s
 }
 
 // finishBatchMember marks a batch member's WAL completion — the member is
-// about to be answered, so a later recovery must not replay it.
+// about to be answered, so a later recovery must not replay it — and
+// returns its input frame to the pool.
 func (s *Server) finishBatchMember(t *task) {
 	if t.walSeq != 0 && s.wal != nil {
 		s.wal.MarkCompleted(t.walSeq)
 	}
+	s.releaseInput(t)
 }
 
 // coalesceEvent is eventFor plus the coalescer's wide-event fields.
@@ -254,8 +256,6 @@ func (s *Server) decodeCoalesced(sh *shard, ws *workerState, live []*task, dispa
 				s.coalesceEvent(t, sh.id, CodeInternal, encErr.Error(), size, dispatched, share))
 			continue
 		}
-		s.framePool.Put(t.frame)
-		t.frame = nil
 		s.respond(t.sess, outMsg{typ: MsgResult, reqID: t.reqID, traceID: t.traceID, payload: payload, root: t.root,
 			ev: s.coalesceEvent(t, sh.id, CodeOK, "", size, dispatched, share)}, CodeOK)
 	}

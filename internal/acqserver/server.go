@@ -319,7 +319,7 @@ func newServerMetrics(reg *telemetry.Registry) serverMetrics {
 		sessionsTotal:  reg.Counter("acq_sessions_total", "client sessions accepted by the daemon"),
 		sessionsActive: reg.Gauge("acq_sessions_active", "currently open client sessions"),
 		queueWait:      reg.Histogram("acq_queue_wait_ns", "time a frame sat in its shard queue, nanoseconds").EnableExemplars(),
-		readFrame:      reg.Histogram("acq_read_frame_ns", "time to stream-decode one frame off the socket, nanoseconds").EnableExemplars(),
+		readFrame:      reg.Histogram("acq_read_frame_ns", "time to read one FRAME payload off the socket into a pooled buffer and decode it, nanoseconds").EnableExemplars(),
 		write:          reg.Histogram("acq_write_ns", "time to write one response message, nanoseconds").EnableExemplars(),
 		bytesIn:        reg.Counter("acq_bytes_in_total", "wire bytes received (headers + payloads)"),
 		bytesOut:       reg.Counter("acq_bytes_out_total", "wire bytes sent (headers + payloads)"),
@@ -384,6 +384,9 @@ type Server struct {
 	shards    []*shard
 	workerWG  sync.WaitGroup
 	framePool instrument.FramePool
+	// payloadBufs holds *[]byte FRAME payload buffers shared by all
+	// sessions (see payloadBuf), so an idle session pins none.
+	payloadBufs sync.Pool
 
 	ln       net.Listener
 	lnMu     sync.Mutex
@@ -679,7 +682,8 @@ func (s *Server) eventFor(t *task, shardID int, code Code, shedReason, detail st
 
 // serveTask runs one picked-up task (see pickup) with panic isolation: a
 // panicking compute path answers INTERNAL, the flight recorder keeps the
-// event and dumps a black box, and the worker lives on.
+// event and dumps a black box, and the worker lives on.  Whatever the
+// outcome, the task's input frame goes back to the frame pool.
 func (s *Server) serveTask(sh *shard, ws *workerState, t *task) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -696,6 +700,7 @@ func (s *Server) serveTask(sh *shard, ws *workerState, t *task) {
 			s.respondError(t.sess, t.reqID, t.traceID, CodeInternal, fmt.Sprintf("worker panic: %v", r), t.root, nil)
 		}
 	}()
+	defer s.releaseInput(t)
 	if t.walSeq != 0 && s.wal != nil {
 		// The frame counts as processed once a response (success or typed
 		// error) is owed to the client; a later recovery must not replay it.
@@ -754,11 +759,31 @@ func (s *Server) serveTask(sh *shard, ws *workerState, t *task) {
 		ev: s.eventFor(t, sh.id, CodeOK, "", "", wait.Nanoseconds(), elapsed.Nanoseconds())}, CodeOK)
 }
 
+// payloadBuf returns a pooled buffer of exactly n bytes for one FRAME
+// payload; the caller Puts it back in payloadBufs once the payload is
+// decoded and logged.  n is at most MaxPayloadBytes, which bounds each
+// in-flight read.
+func (s *Server) payloadBuf(n int) *[]byte {
+	if v, ok := s.payloadBufs.Get().(*[]byte); ok && cap(*v) >= n {
+		*v = (*v)[:n]
+		return v
+	}
+	// Too small to reuse (or none pooled): allocate a fresh one.
+	b := make([]byte, n)
+	return &b
+}
+
+// releaseInput returns a task's input frame to the frame pool once the
+// task is answered.  The session Got it from the same pool at decode, and
+// frames are interchangeable by backing capacity.
+func (s *Server) releaseInput(t *task) {
+	s.framePool.Put(t.frame)
+	t.frame = nil
+}
+
 // compute runs the selected backend and summarizes the deconvolved frame.
 // Output frames come from the server's frame pool and go back to it once
-// the summary (which copies everything it keeps) is built; the input frame
-// is recycled into the same pool, since frames are interchangeable by
-// backing capacity.
+// the summary (which copies everything it keeps) is built.
 func (s *Server) compute(ctx context.Context, ws *workerState, t *task) (*Result, error) {
 	if s.processHook != nil {
 		return s.processHook(t)
@@ -786,8 +811,6 @@ func (s *Server) compute(ctx context.Context, ws *workerState, t *task) (*Result
 		return nil, fmt.Errorf("acqserver: unknown path %v", t.path)
 	}
 	res.Peaks = s.summarize(decoded)
-	s.framePool.Put(t.frame)
-	t.frame = nil
 	return res, nil
 }
 

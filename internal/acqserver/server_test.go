@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/frameio"
 	"repro/internal/instrument"
+	"repro/internal/prs"
 	"repro/internal/telemetry"
 )
 
@@ -552,6 +553,85 @@ func TestProtocolViolations(t *testing.T) {
 
 	if s.m.protocolErrs.Value() == 0 {
 		t.Error("protocol violations were not counted")
+	}
+}
+
+// TestSessionResyncAfterBadPayload sends malformed delta FRAME payloads
+// on one raw connection.  Each is answered under its own request id and
+// leaves the session on a message boundary, so the next good FRAME on the
+// same connection is served.  Bytes after the last cell are ignored, as
+// they always have been: that FRAME is answered like the clean one.
+func TestSessionResyncAfterBadPayload(t *testing.T) {
+	_, addr := startServer(t, testConfig())
+	conn := rawDial(t, addr)
+	rawHello(t, conn)
+
+	// One ion packet at drift bin 7, multiplexed by the order-5 gate
+	// sequence, so the answer carries a peak to compare.
+	seq := prs.MustMSequence(5)
+	f := instrument.NewFrame(31, 8)
+	for d := 0; d < 31; d++ {
+		for c := 0; c < 8; c++ {
+			f.Set(d, c, float64(3+50*int(seq[(d+31-7)%31])))
+		}
+	}
+	var buf bytes.Buffer
+	buf.Write(encodeFrameOpts(nil, FrameOptions{Path: PathCPU}))
+	if err := frameio.Write(&buf, f, nil, frameio.Delta); err != nil {
+		t.Fatal(err)
+	}
+	clean := buf.Bytes()
+	// Options, then magic, header length, a one-byte empty header,
+	// geometry and the encoding byte; the cells follow.
+	mid := frameOptsSize + 22 + 31*8/2
+	badVarint := append(append(append([]byte{}, clean[:mid]...), bytes.Repeat([]byte{0x80}, 11)...), clean[mid:]...)
+	trailing := append(append([]byte{}, clean...), "trailing garbage"...)
+
+	send := func(reqID uint64, payload []byte) (Header, []byte) {
+		t.Helper()
+		if err := WriteMessage(conn, MsgFrame, reqID, payload); err != nil {
+			t.Fatal(err)
+		}
+		h, resp := rawRead(t, conn)
+		if h.ReqID != reqID {
+			t.Fatalf("answer carries request id %d, want %d", h.ReqID, reqID)
+		}
+		return h, resp
+	}
+	wantOK := func(reqID uint64, payload []byte) *Result {
+		t.Helper()
+		h, resp := send(reqID, payload)
+		if h.Type != MsgResult {
+			code, msg, _ := DecodeError(resp)
+			t.Fatalf("request %d answered %v %v %q, want RESULT", reqID, h.Type, code, msg)
+		}
+		res, err := DecodeResult(resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	for _, c := range []struct {
+		name    string
+		reqID   uint64
+		payload []byte
+	}{
+		{"bad varint mid-body", 1, badVarint},
+		{"truncated payload", 2, clean[:len(clean)-3]},
+	} {
+		h, resp := send(c.reqID, c.payload)
+		code, msg, err := DecodeError(resp)
+		if h.Type != MsgError || err != nil || code != CodeInvalidArgument {
+			t.Fatalf("%s: answered %v %v %q (decode err %v), want INVALID_ARGUMENT", c.name, h.Type, code, msg, err)
+		}
+	}
+	withTrailing := wantOK(3, trailing)
+	good := wantOK(4, clean)
+	if fmt.Sprint(withTrailing.Peaks) != fmt.Sprint(good.Peaks) {
+		t.Errorf("trailing bytes changed the answer: %v, want %v", withTrailing.Peaks, good.Peaks)
+	}
+	if len(good.Peaks) == 0 || int(good.Peaks[0].Centroid+0.5) != 7 {
+		t.Errorf("good frame summarized peaks %+v, want the packet at drift bin 7", good.Peaks)
 	}
 }
 

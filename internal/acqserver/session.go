@@ -1,5 +1,5 @@
 // session.go: one connected client — a read loop that speaks IMSP/1 and
-// streams frames straight off the socket into a shard queue, and a write
+// reads and decodes frames off the socket into a shard queue, and a write
 // loop that owns the connection's outbound half behind a bounded response
 // queue.  The loops communicate only through channels; teardown is
 // idempotent and either side's failure (read timeout, write timeout,
@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/frameio"
+	"repro/internal/instrument"
 	"repro/internal/telemetry/flightrec"
 	"repro/internal/telemetry/trace"
 )
@@ -35,32 +36,12 @@ type outMsg struct {
 	ev      *flightrec.Event
 }
 
-// captureReader tees everything read through it into a reusable buffer,
-// so the exact FRAME payload bytes that were streamed off the socket can
-// be appended to the frame log verbatim (replay is then bit-identical to
-// what the client sent).
-type captureReader struct {
-	r   io.Reader
-	buf []byte
-}
-
-// Read forwards to the wrapped reader, appending what it saw.
-func (c *captureReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.buf = append(c.buf, p[:n]...)
-	return n, err
-}
-
 // session is the per-connection state.
 type session struct {
 	id    uint64
 	srv   *Server
 	conn  net.Conn
 	shard *shard
-
-	// capR captures FRAME payload bytes for the frame log; its buffer is
-	// reused across the session's frames (the read loop is sequential).
-	capR captureReader
 
 	// ver is the negotiated protocol version (ProtocolV1 until the HELLO
 	// payload proves the client speaks something newer); atomic because
@@ -292,9 +273,9 @@ func (sess *session) handleHello(h Header) bool {
 	return true
 }
 
-// handleFrame streams one FRAME payload off the socket, validates it, and
-// enqueues it (or sheds).  It reports whether the connection is still in a
-// consistent state to keep reading.  The frame's trace root starts here:
+// handleFrame reads one FRAME payload off the socket, decodes and
+// validates it, and enqueues it (or sheds).  It reports whether the
+// connection is still in a consistent state to keep reading.  The frame's trace root starts here:
 // a nonzero version-2 trace id is adopted (so client and server spans
 // share an identity), otherwise the tracer mints one.
 func (sess *session) handleFrame(h Header) bool {
@@ -314,40 +295,37 @@ func (sess *session) handleFrame(h Header) bool {
 			"FRAME payload too short for options", root, nil)
 		return false
 	}
+	// Read the whole payload (bounded by MaxPayloadBytes above) into a
+	// pooled buffer, which keeps the stream on a message boundary whatever
+	// the decode finds, then decode it from the slice into a pooled frame;
+	// frameio's limits reject absurd headers before the frame is obtained.
+	// The frame log records these same bytes, so replay is bit-identical
+	// to what the client sent.
 	rspan := root.Child("socket_read")
-	var optsBuf [frameOptsSize]byte
-	if _, err := io.ReadFull(sess.conn, optsBuf[:]); err != nil {
+	start := time.Now()
+	bufp := s.payloadBuf(int(h.PayloadLen))
+	defer s.payloadBufs.Put(bufp)
+	payload := *bufp
+	if _, err := io.ReadFull(sess.conn, payload); err != nil {
 		root.End()
 		return false
 	}
-	opts, err := decodeFrameOpts(optsBuf[:])
+	opts, err := decodeFrameOpts(payload[:frameOptsSize])
 	if err != nil {
 		s.m.protocolErrs.Inc()
 		root.End()
 		return false
 	}
-
-	// Stream the frame straight off the socket: the encoded payload is
-	// never buffered whole, and frameio's limits reject absurd headers
-	// before any payload-sized allocation.  With a frame log attached the
-	// stream is teed into the session's capture buffer so the log records
-	// the wire payload byte for byte.
-	lr := &io.LimitedReader{R: sess.conn, N: int64(h.PayloadLen) - frameOptsSize}
-	var src io.Reader = lr
-	if s.wal != nil {
-		sess.capR.buf = append(sess.capR.buf[:0], optsBuf[:]...)
-		sess.capR.r = lr
-		src = &sess.capR
-	}
-	start := time.Now()
-	frame, _, decErr := frameio.ReadLimited(src, s.limits)
+	// got is the pooled frame the decode obtained; it goes back to the
+	// pool on every return except a successful enqueue, which hands it to
+	// a worker.
+	var got *instrument.Frame
+	defer func() { s.framePool.Put(got) }()
+	frame, _, decErr := frameio.Decode(payload[frameOptsSize:], s.limits, func(driftBins, tofBins int) *instrument.Frame {
+		got = s.framePool.Get(driftBins, tofBins)
+		return got
+	})
 	s.m.readFrame.ObserveExemplar(float64(time.Since(start).Nanoseconds()), traceID)
-	// Resync to the message boundary regardless of decode success; a
-	// failure here is a connection-level error (timeout, disconnect).
-	if _, err := io.Copy(io.Discard, src); err != nil {
-		root.End()
-		return false
-	}
 	rspan.End()
 	if decErr != nil {
 		s.respondError(sess, h.ReqID, traceID, CodeInvalidArgument, decErr.Error(), root, nil)
@@ -373,7 +351,7 @@ func (sess *session) handleFrame(h Header) bool {
 	var walNotDurable bool
 	if s.wal != nil {
 		aspan := root.Child("framelog_append")
-		seq, err := s.wal.Append(traceID, sess.capR.buf)
+		seq, err := s.wal.Append(traceID, payload)
 		aspan.SetInt("wal_seq", int64(seq))
 		aspan.End()
 		if err != nil {
@@ -419,6 +397,7 @@ func (sess *session) handleFrame(h Header) bool {
 	t.qspan.SetInt("shard", int64(sess.shard.id))
 	switch err := sess.shard.enqueue(t, s.effectiveDepth()); err {
 	case nil:
+		got = nil // a worker owns the frame now
 		s.m.framesByPath[opts.Path].Inc()
 	case errDegraded:
 		s.m.shedByReason["degraded"].Inc()

@@ -14,12 +14,12 @@
 // nothing) gets pure IMSP/1 back.
 //
 // FRAME payloads carry a 5-byte option prefix (path u8, deadline ms u32)
-// followed by a frameio-encoded frame, so the daemon streams the frame
-// straight off the socket through frameio.ReadLimited without ever holding
-// the encoded payload in memory.  RESULT and ERROR payloads are small,
-// fixed-layout summaries.  The explicit payload length makes resync after
-// a decode error trivial: discard the remainder of the declared payload
-// and the stream is back on a message boundary.
+// followed by a frameio-encoded frame.  The daemon reads the whole
+// payload, bounded by MaxPayloadBytes, into a pooled buffer and decodes it
+// with frameio.Decode.  RESULT and ERROR payloads are small, fixed-layout
+// summaries.  The explicit payload length makes resync after a decode
+// error trivial: the declared payload has already been read whole, so the
+// stream is back on a message boundary.
 package acqserver
 
 import (

@@ -21,6 +21,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 
 	"repro/internal/instrument"
@@ -110,10 +111,10 @@ func Write(w io.Writer, f *instrument.Frame, meta Metadata, enc Encoding) error 
 	return bw.Flush()
 }
 
-// Limits bounds what a frame header may declare before any payload-sized
-// allocation happens.  Read enforces DefaultLimits; network servers should
-// pass much tighter bounds to ReadLimited so a malicious or corrupt peer
-// cannot force a huge allocation with a 17-byte header.
+// Limits bounds what a frame header may declare before the frame is
+// obtained.  Read enforces DefaultLimits; network servers should pass much
+// tighter bounds to Decode so a malicious or corrupt peer cannot force a
+// huge allocation with a 17-byte header.
 type Limits struct {
 	// MaxHeaderBytes caps the metadata header length.
 	MaxHeaderBytes uint32
@@ -149,78 +150,145 @@ func Read(r io.Reader) (*instrument.Frame, Metadata, error) {
 	return ReadLimited(r, DefaultLimits())
 }
 
-// ReadLimited deserializes a frame written by Write, rejecting any header
-// that declares dimensions or sizes beyond lim before allocating for them.
-// It reads exactly one frame, streaming the payload through a small buffer
-// — r may be a net.Conn wrapped in an io.LimitReader; the whole encoded
-// payload is never held in memory (only the decoded cells are).
+// ReadLimited reads r to EOF and decodes the one frame it holds with
+// Decode under lim into a fresh frame.  The read is bounded by the longest
+// encoding lim admits, so input can cost at most that much memory, and
+// Decode rejects a header declaring dimensions beyond lim before the
+// frame is allocated.
 func ReadLimited(r io.Reader, lim Limits) (*instrument.Frame, Metadata, error) {
 	if err := lim.Validate(); err != nil {
 		return nil, nil, err
 	}
-	br := bufio.NewReader(r)
-	var m [8]byte
-	if _, err := io.ReadFull(br, m[:]); err != nil {
-		return nil, nil, fmt.Errorf("frameio: reading magic: %w", err)
-	}
-	if m != magic {
-		return nil, nil, fmt.Errorf("frameio: bad magic %q", m[:])
-	}
-	var headerLen uint32
-	if err := binary.Read(br, binary.LittleEndian, &headerLen); err != nil {
-		return nil, nil, err
-	}
-	if headerLen > lim.MaxHeaderBytes {
-		return nil, nil, fmt.Errorf("frameio: header of %d bytes exceeds %d-byte bound", headerLen, lim.MaxHeaderBytes)
-	}
-	header := make([]byte, headerLen)
-	if _, err := io.ReadFull(br, header); err != nil {
-		return nil, nil, err
-	}
-	meta, err := decodeMeta(header)
+	bound := lim.maxEncodedBytes()
+	b, err := io.ReadAll(io.LimitReader(r, bound+1))
 	if err != nil {
 		return nil, nil, err
 	}
-	var driftBins, tofBins uint32
-	if err := binary.Read(br, binary.LittleEndian, &driftBins); err != nil {
+	if int64(len(b)) > bound {
+		return nil, nil, fmt.Errorf("frameio: input exceeds the %d-byte bound of its limits", bound)
+	}
+	return Decode(b, lim, nil)
+}
+
+// maxEncodedBytes is the longest encoding l admits: the fixed fields, the
+// largest header, and MaxCells cells of the widest cell encoding (a
+// 10-byte varint).  It saturates at math.MaxInt64-1, so one more byte
+// still fits an int64.
+func (l Limits) maxEncodedBytes() int64 {
+	const fixed = 8 + 4 + 4 + 4 + 1 // magic, header length, geometry, encoding
+	rest := uint64(math.MaxInt64-1) - fixed - uint64(l.MaxHeaderBytes)
+	if l.MaxCells > rest/binary.MaxVarintLen64 {
+		return math.MaxInt64 - 1
+	}
+	return int64(fixed) + int64(l.MaxHeaderBytes) + int64(l.MaxCells)*binary.MaxVarintLen64
+}
+
+// Decode deserializes the frame written by Write at the start of b,
+// rejecting any header that declares dimensions or sizes beyond lim before
+// the frame is obtained.  The frame comes from get (instrument.NewFrame
+// when get is nil) and every cell is overwritten, so get may hand out a
+// recycled frame; on an error the frame, if one was obtained, is dropped.
+// Bytes after the last cell are ignored.  Decode does not retain b.  On
+// success it allocates nothing beyond what get does and a non-empty
+// Metadata (nil when the header holds no keys).
+func Decode(b []byte, lim Limits, get func(driftBins, tofBins int) *instrument.Frame) (*instrument.Frame, Metadata, error) {
+	if err := lim.Validate(); err != nil {
 		return nil, nil, err
 	}
-	if err := binary.Read(br, binary.LittleEndian, &tofBins); err != nil {
+	if len(b) < len(magic)+4 {
+		return nil, nil, fmt.Errorf("frameio: reading magic and header length: %w", io.ErrUnexpectedEOF)
+	}
+	if [8]byte(b[:8]) != magic {
+		return nil, nil, fmt.Errorf("frameio: bad magic %q", b[:8])
+	}
+	headerLen := binary.LittleEndian.Uint32(b[8:])
+	if headerLen > lim.MaxHeaderBytes {
+		return nil, nil, fmt.Errorf("frameio: header of %d bytes exceeds %d-byte bound", headerLen, lim.MaxHeaderBytes)
+	}
+	b = b[12:]
+	if uint64(len(b)) < uint64(headerLen) {
+		return nil, nil, fmt.Errorf("frameio: reading %d-byte header: %w", headerLen, io.ErrUnexpectedEOF)
+	}
+	meta, err := decodeMeta(b[:headerLen])
+	if err != nil {
 		return nil, nil, err
 	}
-	if driftBins == 0 || tofBins == 0 || uint64(driftBins)*uint64(tofBins) > lim.MaxCells {
+	b = b[headerLen:]
+	if len(b) < 8 {
+		return nil, nil, fmt.Errorf("frameio: reading geometry: %w", io.ErrUnexpectedEOF)
+	}
+	driftBins := binary.LittleEndian.Uint32(b)
+	tofBins := binary.LittleEndian.Uint32(b[4:])
+	cells := uint64(driftBins) * uint64(tofBins)
+	if driftBins == 0 || tofBins == 0 || cells > lim.MaxCells {
 		return nil, nil, fmt.Errorf("frameio: implausible geometry %d x %d (cell bound %d)", driftBins, tofBins, lim.MaxCells)
 	}
 	if driftBins > lim.MaxDriftBins || tofBins > lim.MaxTOFBins {
 		return nil, nil, fmt.Errorf("frameio: geometry %d x %d exceeds axis bounds %d x %d",
 			driftBins, tofBins, lim.MaxDriftBins, lim.MaxTOFBins)
 	}
-	encByte, err := br.ReadByte()
-	if err != nil {
-		return nil, nil, err
+	if len(b) < 9 {
+		return nil, nil, fmt.Errorf("frameio: reading encoding: %w", io.ErrUnexpectedEOF)
 	}
-	f := instrument.NewFrame(int(driftBins), int(tofBins))
-	switch Encoding(encByte) {
+	enc, p := Encoding(b[8]), b[9:]
+	// Every cell takes at least one payload byte (eight when Raw), so a
+	// header declaring more cells than the payload can hold fails here,
+	// before the frame is obtained.
+	switch enc {
 	case Raw:
-		for i := range f.Data {
-			if err := binary.Read(br, binary.LittleEndian, &f.Data[i]); err != nil {
-				return nil, nil, fmt.Errorf("frameio: cell %d: %w", i, err)
-			}
+		if uint64(len(p))/8 < cells {
+			return nil, nil, fmt.Errorf("frameio: cell %d: %w", len(p)/8, io.ErrUnexpectedEOF)
 		}
 	case Delta:
-		var prev int64
-		for i := range f.Data {
-			d, err := binary.ReadVarint(br)
-			if err != nil {
-				return nil, nil, fmt.Errorf("frameio: cell %d: %w", i, err)
-			}
-			prev += d
-			f.Data[i] = float64(prev)
+		if uint64(len(p)) < cells {
+			return nil, nil, fmt.Errorf("frameio: %d-byte delta payload cannot hold %d cells: %w",
+				len(p), cells, io.ErrUnexpectedEOF)
 		}
 	default:
-		return nil, nil, fmt.Errorf("frameio: unknown encoding %d", encByte)
+		return nil, nil, fmt.Errorf("frameio: unknown encoding %d", uint8(enc))
+	}
+	if get == nil {
+		get = instrument.NewFrame
+	}
+	f := get(int(driftBins), int(tofBins))
+	if enc == Raw {
+		for i := range f.Data {
+			f.Data[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[8*i:]))
+		}
+		return f, meta, nil
+	}
+	if err := decodeDelta(f.Data, p); err != nil {
+		return nil, nil, err
 	}
 	return f, meta, nil
+}
+
+// decodeDelta fills dst from zig-zag varint deltas in p.  One-byte varints
+// (deltas in [-64, 63], the common case for accumulated counts) take an
+// inline path; longer ones go through binary.Uvarint.
+func decodeDelta(dst []float64, p []byte) error {
+	var prev int64
+	pos := 0
+	for i := range dst {
+		var ux uint64
+		if pos < len(p) && p[pos] < 0x80 {
+			ux = uint64(p[pos])
+			pos++
+		} else {
+			v, n := binary.Uvarint(p[pos:])
+			if n == 0 {
+				return fmt.Errorf("frameio: cell %d: %w", i, io.ErrUnexpectedEOF)
+			}
+			if n < 0 {
+				return fmt.Errorf("frameio: cell %d: varint overflows a 64-bit integer", i)
+			}
+			ux = v
+			pos += n
+		}
+		prev += int64(ux>>1) ^ -int64(ux&1)
+		dst[i] = float64(prev)
+	}
+	return nil
 }
 
 // encodeMeta serializes metadata deterministically (sorted keys) as
@@ -250,8 +318,10 @@ func encodeMeta(meta Metadata) ([]byte, error) {
 	return out, nil
 }
 
+// decodeMeta parses an encodeMeta header; a header with no keys decodes
+// to nil, so an empty header costs no allocation.
 func decodeMeta(b []byte) (Metadata, error) {
-	meta := Metadata{}
+	var meta Metadata
 	pos := 0
 	readUvarint := func() (uint64, error) {
 		v, n := binary.Uvarint(b[pos:])
@@ -266,7 +336,7 @@ func decodeMeta(b []byte) (Metadata, error) {
 		if err != nil {
 			return "", err
 		}
-		if pos+int(l) > len(b) {
+		if l > uint64(len(b)-pos) {
 			return "", fmt.Errorf("frameio: truncated metadata string")
 		}
 		s := string(b[pos : pos+int(l)])
@@ -282,9 +352,16 @@ func decodeMeta(b []byte) (Metadata, error) {
 		if err != nil {
 			return nil, err
 		}
+		if k == "" {
+			// Write never emits one, so an accepted frame always re-encodes.
+			return nil, fmt.Errorf("frameio: empty metadata key")
+		}
 		v, err := readStr()
 		if err != nil {
 			return nil, err
+		}
+		if meta == nil {
+			meta = Metadata{}
 		}
 		meta[k] = v
 	}

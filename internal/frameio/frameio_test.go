@@ -224,6 +224,52 @@ func BenchmarkReadDelta(b *testing.B) {
 	}
 }
 
+// wideDeltaFrame encodes a 511x1024 frame (the order-9 wide geometry the
+// daemon serves) with Delta and an empty metadata header.
+func wideDeltaFrame(tb testing.TB) (*instrument.Frame, []byte) {
+	f := countsFrame(rand.New(rand.NewSource(10)), 511, 1024)
+	var buf bytes.Buffer
+	if err := Write(&buf, f, nil, Delta); err != nil {
+		tb.Fatal(err)
+	}
+	return f, buf.Bytes()
+}
+
+// TestDecodeAllocs proves the serving-path decode allocates nothing: a
+// wide delta frame with an empty header, decoded into a warm FramePool.
+func TestDecodeAllocs(t *testing.T) {
+	want, data := wideDeltaFrame(t)
+	var pool instrument.FramePool
+	pool.Put(pool.Get(511, 1024))
+	allocs := testing.AllocsPerRun(20, func() {
+		got, meta, err := Decode(data, DefaultLimits(), pool.Get)
+		if err != nil || meta != nil || !framesEqual(got, want) {
+			t.Fatalf("decode: err %v, meta %v, frame equal %v", err, meta, err == nil && framesEqual(got, want))
+		}
+		pool.Put(got)
+	})
+	if allocs != 0 {
+		t.Errorf("Decode into a warm pool allocated %v times per frame, want 0", allocs)
+	}
+}
+
+// BenchmarkDecodeWide measures the serving-path decode: one wide delta
+// frame from a byte slice into a pooled frame.
+func BenchmarkDecodeWide(b *testing.B) {
+	_, data := wideDeltaFrame(b)
+	var pool instrument.FramePool
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f, _, err := Decode(data, DefaultLimits(), pool.Get)
+		if err != nil {
+			b.Fatal(err)
+		}
+		pool.Put(f)
+	}
+}
+
 // failWriter errors after allowing n bytes.
 type failWriter struct {
 	remaining int
@@ -351,6 +397,21 @@ func TestReadLimitedRejectsMaliciousGeometry(t *testing.T) {
 	}
 	if _, _, err := ReadLimited(bytes.NewReader(buf.Bytes()), DefaultLimits()); err == nil {
 		t.Fatal("2^34-cell geometry accepted even by default limits")
+	}
+}
+
+// TestReadLimitedHugeLimits reads under limits whose longest encoding
+// saturates int64: the read bound must still admit a real frame.
+func TestReadLimitedHugeLimits(t *testing.T) {
+	f := countsFrame(rand.New(rand.NewSource(11)), 4, 4)
+	var buf bytes.Buffer
+	if err := Write(&buf, f, nil, Delta); err != nil {
+		t.Fatal(err)
+	}
+	lim := Limits{MaxHeaderBytes: 1 << 31, MaxDriftBins: 1 << 31, MaxTOFBins: 1 << 31, MaxCells: 1 << 62}
+	got, _, err := ReadLimited(&buf, lim)
+	if err != nil || !framesEqual(got, f) {
+		t.Fatalf("decode under huge limits: %v", err)
 	}
 }
 

@@ -7,10 +7,14 @@ package frameio
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
+
+	"repro/internal/instrument"
 )
 
 // fuzzLimits keeps the fuzz decode cheap: a malicious header may still
@@ -22,9 +26,11 @@ var fuzzLimits = Limits{
 	MaxCells:       1 << 16,
 }
 
-// FuzzRead throws arbitrary bytes at ReadLimited.  Inputs it accepts must
+// FuzzRead throws arbitrary bytes at Decode.  Inputs it accepts must
 // re-encode (Raw) and decode again to bit-identical cells and identical
-// metadata — the decoder's round-trip invariant.
+// metadata — the decoder's round-trip invariant — and must decode to the
+// same cells into a recycled frame full of stale values as into a fresh
+// one.
 func FuzzRead(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	for _, seed := range []struct {
@@ -47,11 +53,29 @@ func FuzzRead(f *testing.F) {
 	f.Add([]byte("HTIMSFR1"))
 	f.Add([]byte("HTIMSFR1\x00\x00\x00\x00"))
 	f.Add([]byte("not a frame at all"))
+	for _, seed := range malformedSeeds(f) {
+		f.Add(seed.data)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		frame, meta, err := ReadLimited(bytes.NewReader(data), fuzzLimits)
+		frame, meta, err := Decode(data, fuzzLimits, nil)
 		if err != nil {
 			return
+		}
+		stale, _, err := Decode(data, fuzzLimits, func(drift, tof int) *instrument.Frame {
+			g := instrument.NewFrame(drift, tof)
+			for i := range g.Data {
+				g.Data[i] = math.NaN()
+			}
+			return g
+		})
+		if err != nil {
+			t.Fatalf("decode into a recycled frame failed: %v", err)
+		}
+		for i := range frame.Data {
+			if math.Float64bits(frame.Data[i]) != math.Float64bits(stale.Data[i]) {
+				t.Fatalf("recycled frame kept a stale cell %d", i)
+			}
 		}
 		if frame.DriftBins <= 0 || frame.TOFBins <= 0 ||
 			len(frame.Data) != frame.DriftBins*frame.TOFBins {
@@ -62,7 +86,7 @@ func FuzzRead(f *testing.F) {
 		if err := Write(&buf, frame, meta, Raw); err != nil {
 			t.Fatalf("re-encoding accepted frame: %v", err)
 		}
-		again, meta2, err := ReadLimited(&buf, fuzzLimits)
+		again, meta2, err := Decode(buf.Bytes(), fuzzLimits, nil)
 		if err != nil {
 			t.Fatalf("re-decoding re-encoded frame: %v", err)
 		}
@@ -103,6 +127,62 @@ func TestFuzzSeedsDecode(t *testing.T) {
 	}
 	if !framesEqual(got, f) {
 		t.Fatal("byte-at-a-time decode corrupted frame")
+	}
+}
+
+// malformedSeed is a corrupt encoding and a fragment of the error Decode
+// must report for it.
+type malformedSeed struct {
+	name, wantErr string
+	data          []byte
+}
+
+// malformedSeeds builds encodings that fail deep in the input: an
+// overlong varint, a Raw payload one byte short, a header declaring more
+// cells than the bytes that follow, and a metadata string length that
+// overflows int.
+func malformedSeeds(tb testing.TB) []malformedSeed {
+	rng := rand.New(rand.NewSource(2))
+	encode := func(drift, tof int, enc Encoding) []byte {
+		var buf bytes.Buffer
+		if err := Write(&buf, countsFrame(rng, drift, tof), nil, enc); err != nil {
+			tb.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	// An empty header is one count byte, so the payload starts at 8 magic
+	// + 4 header length + 1 header + 8 geometry + 1 encoding.
+	const payloadPos = 22
+	delta := encode(4, 4, Delta)
+	overlong := append(append([]byte{}, delta[:payloadPos]...), bytes.Repeat([]byte{0x80}, 11)...)
+	overlong = append(overlong, delta[payloadPos:]...)
+	raw := encode(4, 4, Raw)
+	short := encode(7, 4, Delta)
+	binary.LittleEndian.PutUint32(short[13:], 70) // 70 x 4 cells, payload holds 28+
+	// A metadata string declaring 2^63 bytes, which overflows int.
+	hugeKey := binary.AppendUvarint([]byte{1}, 1<<63)
+	hugeKey = append(binary.LittleEndian.AppendUint32([]byte("HTIMSFR1"), uint32(len(hugeKey))), hugeKey...)
+	return []malformedSeed{
+		{"overlong varint", "cell 0: varint overflows", overlong},
+		{"raw one byte short", "cell 15: unexpected EOF", raw[:len(raw)-1]},
+		{"more cells than bytes", "cannot hold 280 cells", short},
+		{"huge metadata string", "truncated metadata string", hugeKey},
+	}
+}
+
+// TestDecodeMalformed pins the error each malformed seed reports: which
+// check fires, and at which cell.
+func TestDecodeMalformed(t *testing.T) {
+	for _, seed := range malformedSeeds(t) {
+		_, _, err := Decode(seed.data, fuzzLimits, func(drift, tof int) *instrument.Frame {
+			if seed.name == "more cells than bytes" {
+				t.Errorf("%s: frame obtained before the payload bound was checked", seed.name)
+			}
+			return instrument.NewFrame(drift, tof)
+		})
+		if err == nil || !strings.Contains(err.Error(), seed.wantErr) {
+			t.Errorf("%s: got error %v, want one containing %q", seed.name, err, seed.wantErr)
+		}
 	}
 }
 

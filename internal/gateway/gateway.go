@@ -298,6 +298,10 @@ func (d discardHandler) WithGroup(string) slog.Handler { return d }
 // rebuildRing swaps in a ring over the currently-ready backends and
 // refreshes the readiness gauges.
 func (g *Gateway) rebuildRing() {
+	// Hold the lock from reading readiness to storing the ring: two
+	// probers flipping at once must not let the earlier snapshot land last.
+	g.ringMu.Lock()
+	defer g.ringMu.Unlock()
 	var ready []int
 	for _, b := range g.backends {
 		up := b.ready.Load()
@@ -307,9 +311,7 @@ func (g *Gateway) rebuildRing() {
 		g.m.backendReady[b.id].Set(boolGauge(up))
 	}
 	ring := BuildRing(ready, func(i int) string { return g.backends[i].cfg.Addr }, g.cfg.Replicas)
-	g.ringMu.Lock()
 	g.current = ring
-	g.ringMu.Unlock()
 	g.m.ringRebuilds.Inc()
 	g.m.ringBackends.Set(float64(len(ready)))
 }
