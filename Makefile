@@ -62,14 +62,15 @@ docslint:
 docs-verify: docslint
 	$(GO) run ./scripts/linkcheck $(DOCS_MD)
 
-# Short coverage-guided passes over the two binary-format readers: the
-# frame decoder and the frame-log segment scanner.  Regressions in the
-# header and CRC guards surface here before they reach the wire or a
-# recovery pass.
+# Short coverage-guided passes over the binary-format readers: the frame
+# decoder, the frame-log segment scanner, the FWHT kernels and the IMSP
+# wire decoders.  Regressions in the header and CRC guards surface here
+# before they reach the wire or a recovery pass.
 fuzz-short:
 	$(GO) test ./internal/frameio -run '^$$' -fuzz FuzzRead -fuzztime 5s
 	$(GO) test ./internal/framelog -run '^$$' -fuzz FuzzSegmentRead -fuzztime 5s
 	$(GO) test ./internal/hadamard -run '^$$' -fuzz FuzzFWHTKernelEquivalence -fuzztime 5s
+	$(GO) test ./internal/acqserver -run '^$$' -fuzz FuzzIMSPDecode -fuzztime 5s
 
 # End-to-end serving smoke: start imsd, hammer it with imsload for 2s,
 # assert zero protocol errors and a clean SIGTERM drain.

@@ -188,9 +188,11 @@ func BenchmarkMicroFrameDeconvolve(b *testing.B) {
 		frame.SetDriftVector(c, y)
 	}
 	factory := func() (hadamard.Decoder, error) { return hadamard.NewFHTDecoder(order) }
+	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pipeline.DeconvolveFrame(frame, factory, 0); err != nil {
+		out := instrument.NewFrame(frame.DriftBins, frame.TOFBins)
+		if err := pipeline.DeconvolveFramesIntoContext(ctx, []pipeline.FramePair{{Dst: out, Src: frame}}, factory, 0, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -346,7 +348,7 @@ func BenchmarkMicroFrameDeconvolveInto(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		out := pool.Get(frame.DriftBins, frame.TOFBins)
-		if err := pipeline.DeconvolveFrameIntoContext(ctx, out, frame, factory, 0, nil); err != nil {
+		if err := pipeline.DeconvolveFramesIntoContext(ctx, []pipeline.FramePair{{Dst: out, Src: frame}}, factory, 0, nil); err != nil {
 			b.Fatal(err)
 		}
 		pool.Put(out)

@@ -422,7 +422,7 @@ func buildEvaluator(reg *telemetry.Registry, latency time.Duration, latencyTarge
 		sheds = append(sheds, reg.Counter("acq_shed_total", "frames rejected by load shedding, per reason", telemetry.L("reason", r)))
 	}
 	for _, p := range []string{"hybrid", "cpu"} {
-		frames = append(frames, reg.Counter("acq_frames_total", "frames accepted for processing per compute path", telemetry.L("path", p)))
+		frames = append(frames, reg.Counter("acq_frames_total", "frames accepted into a shard queue per compute path, counted before a worker can answer them", telemetry.L("path", p)))
 	}
 	sumShed := func() int64 {
 		var n int64

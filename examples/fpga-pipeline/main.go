@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -77,15 +78,17 @@ func main() {
 
 	// 4. Software baseline measured on this host.
 	factory := func() (hadamard.Decoder, error) { return hadamard.NewFHTDecoder(order) }
-	start := time.Now()
-	if _, err := pipeline.DeconvolveFrameWithMetrics(frame, factory, 1, reg); err != nil {
-		log.Fatal(err)
+	decode := func(workers int) {
+		pair := []pipeline.FramePair{{Dst: instrument.NewFrame(frame.DriftBins, frame.TOFBins), Src: frame}}
+		if err := pipeline.DeconvolveFramesIntoContext(context.Background(), pair, factory, workers, reg); err != nil {
+			log.Fatal(err)
+		}
 	}
+	start := time.Now()
+	decode(1)
 	single := time.Since(start)
 	start = time.Now()
-	if _, err := pipeline.DeconvolveFrameWithMetrics(frame, factory, 0, reg); err != nil {
-		log.Fatal(err)
-	}
+	decode(0)
 	parallel := time.Since(start)
 	fmt.Printf("software on this host: %.2f ms single-thread, %.2f ms on %d cores\n",
 		single.Seconds()*1e3, parallel.Seconds()*1e3, runtime.GOMAXPROCS(0))

@@ -116,9 +116,8 @@ func (s *Server) enqueueRecovered(ctx context.Context, seq, sid uint64, payload 
 	}
 	sh := s.shards[int(seq)%len(s.shards)]
 	for {
-		switch err := sh.enqueue(t, s.cfg.QueueDepth); err {
+		switch err := sh.enqueue(t, s.cfg.QueueDepth, s.m.framesByPath[opts.Path]); err {
 		case nil:
-			s.m.framesByPath[opts.Path].Inc()
 			return true, nil
 		case errQueueFull:
 			select {

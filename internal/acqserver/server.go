@@ -5,7 +5,10 @@
 // frames straight off the socket and enqueue them into N sharded, bounded
 // work queues feeding worker pools that run the modeled FPGA offload (a
 // per-worker hybrid.Offloader) or the CPU software pipeline
-// (pipeline.DeconvolveFrameIntoContext), selectable per request.  Decoded
+// (pipeline.DeconvolveFramesIntoContext), selectable per request.  A
+// worker answers every frame it dequeues through one function, serve: a
+// lone frame is a batch of one, and with Config.CoalesceWindow a batch is
+// the CPU-path frames gathered across sessions (coalesce.go).  Decoded
 // output frames come from a sync.Pool-backed instrument.FramePool and are
 // recycled once the result summary is encoded, so the steady-state compute
 // path allocates no per-column and no per-frame output buffers (see
@@ -17,7 +20,8 @@
 // readers are cut off by write timeouts, idle or half-dead connections by
 // read timeouts, a recovered panic answers INTERNAL and never takes the
 // daemon down, and SIGTERM triggers a graceful drain that completes queued
-// frames before closing sessions.  Every stage is wired into
+// frames before closing sessions.  Every accepted frame is answered
+// exactly once, through task.answer.  Every stage is wired into
 // internal/telemetry under the acq_* metric families (docs/OBSERVABILITY.md).
 package acqserver
 
@@ -80,11 +84,11 @@ type Config struct {
 	// it small — shard workers already run concurrently.
 	CPUWorkersPerFrame int
 	// CoalesceWindow enables server-side micro-batching when positive: a
-	// worker that picks up a CPU-path frame waits up to this long for
-	// same-shard frames from other sessions, then decodes the whole batch
+	// worker that picks up a frame waits up to this long for same-shard
+	// frames from other sessions, then decodes the batch's CPU-path frames
 	// as one concatenated column space (tiles spanning frame boundaries,
-	// one blocked-kernel call per tile).  Zero disables coalescing and
-	// preserves the frame-at-a-time worker loop.
+	// one blocked-kernel call per tile).  Zero disables coalescing: every
+	// frame is served as a batch of one.
 	CoalesceWindow time.Duration
 	// CoalesceFillTarget dispatches a gathering batch early once it holds
 	// this many frames (the window is the latency bound, the fill target
@@ -128,8 +132,9 @@ type Config struct {
 	// recovered panic.  Nil disables recording at nil-check cost.
 	FlightRecorder *flightrec.Recorder
 
-	// processHook, when non-nil, replaces the compute step — a test seam
-	// for deterministic shedding, drain and panic-isolation tests.  It must
+	// processHook, when non-nil, replaces the per-frame compute step, and
+	// every batch member is then computed one at a time through it — a
+	// test seam for deterministic shedding, drain and fault tests.  It must
 	// be set before NewServer so the worker pools observe it.
 	processHook func(*task) (*Result, error)
 }
@@ -212,13 +217,40 @@ type task struct {
 	walNotDurable bool
 
 	// qwait is the measured queue wait, set when a worker picks the task
-	// up (pickup); cspan and picked are the coalescer's per-member
-	// bookkeeping — the coalesce_wait span and when the member joined its
-	// gathering batch.  All three are zero outside the coalesced path
-	// except qwait, which every picked task carries.
-	qwait  time.Duration
-	cspan  trace.Span
-	picked time.Time
+	// up (pickup).  cwait is the time the task then spent gathering
+	// batch-mates (coalescing only), and batch the size of the shared CPU
+	// decode it is served in; both reach the wide event when batch >= 2.
+	qwait time.Duration
+	cwait time.Duration
+	batch int
+
+	// answered guards answer: a task gets exactly one response.
+	answered atomic.Bool
+}
+
+// answer sends the task's one response.  The first call marks the frame
+// completed in the frame log (a later recovery must not replay it),
+// returns the input frame to the pool and hands the message to respond,
+// whose write path ends the root span.  Any later call is dropped and
+// counted under acq_double_answer_total.
+func (t *task) answer(s *Server, typ MsgType, payload []byte, code Code, ev *flightrec.Event) {
+	if !t.answered.CompareAndSwap(false, true) {
+		s.m.doubleAnswer.Inc()
+		s.log.Error("duplicate answer dropped", "req_id", t.reqID, "trace_id", t.traceID, "code", code.String())
+		return
+	}
+	s.completeWAL(t.walSeq)
+	s.framePool.Put(t.frame)
+	t.frame = nil
+	if typ == MsgError {
+		t.root.SetStr("error", code.String())
+	}
+	s.respond(t.sess, outMsg{typ: typ, reqID: t.reqID, traceID: t.traceID, payload: payload, root: t.root, ev: ev}, code)
+}
+
+// answerError answers the task with a typed ERROR.
+func (t *task) answerError(s *Server, code Code, msg string, ev *flightrec.Event) {
+	t.answer(s, MsgError, EncodeError(code, msg), code, ev)
 }
 
 // discardHandler is a no-op slog.Handler for a nil Config.Logger (the
@@ -248,7 +280,7 @@ var (
 // shard is one bounded work queue plus its depth gauge.
 type shard struct {
 	id     int
-	mu     sync.RWMutex
+	mu     sync.Mutex
 	closed bool
 	ch     chan *task
 	depth  *telemetry.Gauge
@@ -258,25 +290,27 @@ type shard struct {
 // explicit rejection, never a stalled reader.  maxDepth is the effective
 // occupancy bound for this enqueue — when health degrades it is lowered
 // below the channel's capacity, and an enqueue that would exceed it is
-// rejected with errDegraded even though buffer space remains.  The
-// occupancy check is advisory (len on a channel races with concurrent
-// enqueues), which is fine: shedding is approximate by design.
-func (sh *shard) enqueue(t *task, maxDepth int) error {
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
+// rejected with errDegraded even though buffer space remains.  An accepted
+// task is counted in accepted before a worker can see it, so no answer
+// races ahead of the count.  Enqueuers hold mu, so the send cannot block:
+// only they add to the queue, and workers only drain it.
+func (sh *shard) enqueue(t *task, maxDepth int, accepted *telemetry.Counter) error {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	if sh.closed {
 		return errDraining
 	}
-	if maxDepth < cap(sh.ch) && len(sh.ch) >= maxDepth {
+	n := len(sh.ch)
+	if maxDepth < cap(sh.ch) && n >= maxDepth {
 		return errDegraded
 	}
-	select {
-	case sh.ch <- t:
-		sh.depth.Set(float64(len(sh.ch)))
-		return nil
-	default:
+	if n == cap(sh.ch) {
 		return errQueueFull
 	}
+	accepted.Inc()
+	sh.ch <- t
+	sh.depth.Set(float64(len(sh.ch)))
+	return nil
 }
 
 // close marks the shard drained-and-closed; subsequent enqueues fail with
@@ -307,6 +341,7 @@ type serverMetrics struct {
 	panics         map[string]*telemetry.Counter
 	protocolErrs   *telemetry.Counter
 	recovered      map[string]*telemetry.Counter
+	doubleAnswer   *telemetry.Counter
 
 	coalesceBatches map[string]*telemetry.Counter
 	coalesceFrames  *telemetry.Counter
@@ -324,6 +359,7 @@ func newServerMetrics(reg *telemetry.Registry) serverMetrics {
 		bytesIn:        reg.Counter("acq_bytes_in_total", "wire bytes received (headers + payloads)"),
 		bytesOut:       reg.Counter("acq_bytes_out_total", "wire bytes sent (headers + payloads)"),
 		protocolErrs:   reg.Counter("acq_protocol_errors_total", "malformed messages and framing violations"),
+		doubleAnswer:   reg.Counter("acq_double_answer_total", "second answers to an already-answered frame, dropped (nonzero is a serving bug)"),
 		framesByPath:   map[Path]*telemetry.Counter{},
 		responses:      map[Code]*telemetry.Counter{},
 		shedByReason:   map[string]*telemetry.Counter{},
@@ -332,7 +368,7 @@ func newServerMetrics(reg *telemetry.Registry) serverMetrics {
 	}
 	for _, p := range []Path{PathHybrid, PathCPU} {
 		l := telemetry.L("path", p.String())
-		m.framesByPath[p] = reg.Counter("acq_frames_total", "frames accepted for processing per compute path", l)
+		m.framesByPath[p] = reg.Counter("acq_frames_total", "frames accepted into a shard queue per compute path, counted before a worker can answer them", l)
 		m.processByPath[p] = reg.Histogram("acq_process_ns", "deconvolution wall time per compute path, nanoseconds", l).EnableExemplars()
 	}
 	for _, c := range []Code{CodeOK, CodeInvalidArgument, CodeResourceExhausted,
@@ -619,25 +655,25 @@ func (ws *workerState) offloader(c hybrid.OffloadConfig) (*hybrid.Offloader, err
 	return ws.off, nil
 }
 
-// workerLoop drains one shard until its queue is closed, answering each
-// task with a RESULT or a typed ERROR.  The whole loop runs under pprof
-// labels (stage=worker, shard=N), so every sample a continuous CPU
-// profile catches in the compute path is attributable to its shard —
-// cmd/profiledump slices on exactly these labels.
+// workerLoop drains one shard until its queue is closed, serving every
+// dequeued frame as a batch: a batch of one when coalescing is off, or
+// whatever gatherBatch collected within the coalesce window.  The whole
+// loop runs under pprof labels (stage=worker, shard=N), so every sample a
+// continuous CPU profile catches in the compute path is attributable to
+// its shard — cmd/profiledump slices on exactly these labels.
 func (s *Server) workerLoop(sh *shard) {
 	defer s.workerWG.Done()
 	ws := &workerState{}
-	coalesce := s.cfg.CoalesceWindow > 0
 	pprof.Do(context.Background(), pprof.Labels("stage", "worker", "shard", strconv.Itoa(sh.id)), func(context.Context) {
 		for t := range sh.ch {
 			sh.depth.Set(float64(len(sh.ch)))
-			if coalesce {
-				batch, trigger, waited := s.gatherBatch(sh, t)
-				s.serveBatch(sh, ws, batch, trigger, waited)
+			batch := []*task{t}
+			if s.cfg.CoalesceWindow > 0 {
+				batch = s.gatherBatch(sh, t)
 			} else {
 				s.pickup(t)
-				s.serveTask(sh, ws, t)
 			}
+			s.serve(sh, ws, batch)
 		}
 	})
 }
@@ -653,9 +689,10 @@ func (s *Server) pickup(t *task) {
 
 // eventFor seeds the wide event for one answered frame: everything known
 // before the response write (the write loop fills WriteNs and the recorder
-// derives TotalNs from Start).  Nil when no recorder is wired — callers
-// pass it through unconditionally.
-func (s *Server) eventFor(t *task, shardID int, code Code, shedReason, detail string, queueWaitNs, processNs int64) *flightrec.Event {
+// derives TotalNs from Start).  Members of a shared CPU decode of two or
+// more frames also carry the batch size and their coalesce wait.  Nil when
+// no recorder is wired — callers pass it through unconditionally.
+func (s *Server) eventFor(t *task, shardID int, code Code, shedReason, detail string, processNs int64) *flightrec.Event {
 	if s.flight == nil {
 		return nil
 	}
@@ -666,7 +703,7 @@ func (s *Server) eventFor(t *task, shardID int, code Code, shedReason, detail st
 		Order:       s.cfg.Order,
 		Shard:       shardID,
 		Path:        t.path.String(),
-		QueueWaitNs: queueWaitNs,
+		QueueWaitNs: t.qwait.Nanoseconds(),
 		ProcessNs:   processNs,
 		WALSeq:      t.walSeq,
 		Outcome:     code.String(),
@@ -677,86 +714,221 @@ func (s *Server) eventFor(t *task, shardID int, code Code, shedReason, detail st
 	if t.sess != nil {
 		ev.Session = t.sess.id
 	}
+	if t.batch > 1 {
+		ev.CoalesceBatch = t.batch
+		ev.CoalesceWaitNs = t.cwait.Nanoseconds()
+	}
 	return ev
 }
 
-// serveTask runs one picked-up task (see pickup) with panic isolation: a
-// panicking compute path answers INTERNAL, the flight recorder keeps the
-// event and dumps a black box, and the worker lives on.  Whatever the
-// outcome, the task's input frame goes back to the frame pool.
-func (s *Server) serveTask(sh *shard, ws *workerState, t *task) {
+// serve answers every task of one picked-up batch exactly once.  Members
+// whose deadline already passed are answered DEADLINE_EXCEEDED; hybrid
+// members (and every member while the test hook is set) are computed one
+// at a time; the CPU members share one multi-frame decode (decodeCPU).  A
+// panic answers INTERNAL to the members not yet answered — the flight
+// recorder keeps their events and dumps a black box — and the worker
+// lives on.
+func (s *Server) serve(sh *shard, ws *workerState, batch []*task) {
 	defer func() {
-		if r := recover(); r != nil {
-			s.m.panics["worker"].Inc()
-			s.log.Error("worker panic recovered", "shard", sh.id, "req_id", t.reqID, "trace_id", t.traceID, "panic", fmt.Sprint(r))
-			// Record the panicking frame's event directly (not at write
-			// time) so the black box written next includes it.
-			if ev := s.eventFor(t, sh.id, CodeInternal, "", fmt.Sprintf("worker panic: %v", r), 0, 0); ev != nil {
-				s.flight.Record(*ev)
-			}
-			if _, err := s.flight.Dump("panic"); err != nil {
-				s.log.Error("flight recorder dump failed", "err", err)
-			}
-			s.respondError(t.sess, t.reqID, t.traceID, CodeInternal, fmt.Sprintf("worker panic: %v", r), t.root, nil)
-		}
-	}()
-	defer s.releaseInput(t)
-	if t.walSeq != 0 && s.wal != nil {
-		// The frame counts as processed once a response (success or typed
-		// error) is owed to the client; a later recovery must not replay it.
-		defer s.wal.MarkCompleted(t.walSeq)
-	}
-	wait := t.qwait
-	wspan := t.root.Child("worker")
-	wspan.SetInt("shard", int64(sh.id))
-
-	ctx := trace.ContextWithSpan(context.Background(), wspan)
-	if !t.deadline.IsZero() {
-		if !time.Now().Before(t.deadline) {
-			wspan.End()
-			msg := fmt.Sprintf("deadline expired after %v in queue", wait)
-			s.respondError(t.sess, t.reqID, t.traceID, CodeDeadlineExceeded, msg, t.root,
-				s.eventFor(t, sh.id, CodeDeadlineExceeded, "", msg, wait.Nanoseconds(), 0))
+		r := recover()
+		if r == nil {
 			return
 		}
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithDeadline(ctx, t.deadline)
-		defer cancel()
+		s.m.panics["worker"].Inc()
+		msg := fmt.Sprintf("worker panic: %v", r)
+		s.log.Error("worker panic recovered", "shard", sh.id, "batch", len(batch), "panic", fmt.Sprint(r))
+		var open []*task
+		for _, t := range batch {
+			if t.answered.Load() {
+				continue
+			}
+			open = append(open, t)
+			// Record the event now (not at write time) so the black box
+			// written next includes it.
+			if ev := s.eventFor(t, sh.id, CodeInternal, "", msg, 0); ev != nil {
+				s.flight.Record(*ev)
+			}
+		}
+		if _, err := s.flight.Dump("panic"); err != nil {
+			s.log.Error("flight recorder dump failed", "err", err)
+		}
+		for _, t := range open {
+			t.answerError(s, CodeInternal, msg, nil)
+		}
+	}()
+	shared := func(t *task) bool { return t.path == PathCPU && s.processHook == nil }
+	cpu := 0
+	for _, t := range batch {
+		if shared(t) {
+			cpu++
+		}
 	}
+	now := time.Now()
+	var live []*task
+	for _, t := range batch {
+		if shared(t) {
+			t.batch = cpu
+		}
+		switch {
+		case !t.deadline.IsZero() && !now.Before(t.deadline):
+			msg := fmt.Sprintf("deadline expired after %v in queue", t.qwait)
+			t.answerError(s, CodeDeadlineExceeded, msg, s.eventFor(t, sh.id, CodeDeadlineExceeded, "", msg, 0))
+		case shared(t):
+			live = append(live, t)
+		default:
+			s.serveOne(sh, ws, t)
+		}
+	}
+	if len(live) > 0 {
+		s.decodeCPU(sh, ws, live)
+	}
+}
 
+// decodeCPU decodes the live CPU members through one multi-frame decode
+// under the earliest member deadline; the decode span hangs off the first
+// member's worker span.  Each member is answered with its column share of
+// the decode time, so ProcessNs stays comparable across batch sizes.  When
+// the earliest deadline cuts a batch off, the expired members are answered
+// and the rest are re-served as a smaller batch, so one short deadline
+// cannot fail its batch-mates.
+func (s *Server) decodeCPU(sh *shard, ws *workerState, live []*task) {
+	n := len(live)
+	wspans := make([]trace.Span, n)
+	pairs := make([]pipeline.FramePair, n)
+	var earliest time.Time
+	cols := 0
+	for i, t := range live {
+		t.batch = n
+		wspans[i] = s.workerSpan(sh, t)
+		pairs[i] = pipeline.FramePair{Dst: s.framePool.Get(t.frame.DriftBins, t.frame.TOFBins), Src: t.frame}
+		if !t.deadline.IsZero() && (earliest.IsZero() || t.deadline.Before(earliest)) {
+			earliest = t.deadline
+		}
+		cols += t.frame.TOFBins
+	}
+	ctx, cancel := spanContext(wspans[0], earliest)
 	start := time.Now()
-	res, err := s.compute(ctx, ws, t)
+	err := pipeline.DeconvolveFramesIntoContext(ctx, pairs, s.decoder, s.cfg.CPUWorkersPerFrame, s.cfg.Metrics)
 	elapsed := time.Since(start)
-	s.m.processByPath[t.path].ObserveExemplar(float64(elapsed.Nanoseconds()), t.traceID)
+	cancel()
+	for _, w := range wspans {
+		w.End()
+	}
+	if n > 1 && (errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)) {
+		now := time.Now()
+		var rest []*task
+		for i, t := range live {
+			s.framePool.Put(pairs[i].Dst)
+			pairs[i].Dst = nil
+			if t.deadline.IsZero() || now.Before(t.deadline) {
+				rest = append(rest, t)
+				continue
+			}
+			msg := fmt.Sprintf("deadline expired after %v in coalesced batch", now.Sub(t.enqueued))
+			t.answerError(s, CodeDeadlineExceeded, msg, s.eventFor(t, sh.id, CodeDeadlineExceeded, "", msg, elapsed.Nanoseconds()))
+		}
+		if len(rest) < n {
+			s.serve(sh, ws, rest)
+			return
+		}
+	}
+	if err == nil && n > 1 {
+		s.m.coalesceFrames.Add(int64(n))
+	}
+	for i, t := range live {
+		share := elapsed * time.Duration(t.frame.TOFBins) / time.Duration(cols)
+		s.finish(sh, t, &Result{}, pairs[i].Dst, err, share)
+	}
+}
+
+// serveOne computes one member on its own — the test hook when set, else
+// the modeled FPGA offload through the worker's Offloader — and answers it.
+func (s *Server) serveOne(sh *shard, ws *workerState, t *task) {
+	wspan := s.workerSpan(sh, t)
+	ctx, cancel := spanContext(wspan, t.deadline)
+	defer cancel()
+	start := time.Now()
+	var res *Result
+	var decoded *instrument.Frame
+	var err error
+	if s.processHook != nil {
+		res, err = s.processHook(t)
+	} else {
+		res, decoded, err = s.offloadFrame(ctx, ws, t)
+	}
+	elapsed := time.Since(start)
 	wspan.End()
+	s.finish(sh, t, res, decoded, err, elapsed)
+}
+
+// offloadFrame deconvolves one frame through the worker's hybrid engine
+// into a pooled output frame, which the caller owns whatever the outcome.
+func (s *Server) offloadFrame(ctx context.Context, ws *workerState, t *task) (*Result, *instrument.Frame, error) {
+	off, err := ws.offloader(s.offload)
 	if err != nil {
-		code := CodeInternal
-		if errors.Is(err, context.DeadlineExceeded) {
-			code = CodeDeadlineExceeded
-		} else if errors.Is(err, context.Canceled) {
-			code = CodeUnavailable
-		}
-		if code == CodeInternal {
-			s.log.Error("frame failed", "shard", sh.id, "req_id", t.reqID, "trace_id", t.traceID, "err", err)
-		}
-		s.respondError(t.sess, t.reqID, t.traceID, code, err.Error(), t.root,
-			s.eventFor(t, sh.id, code, "", err.Error(), wait.Nanoseconds(), elapsed.Nanoseconds()))
-		return
+		return nil, nil, err
 	}
-	res.Shard = uint16(sh.id)
-	res.QueueWaitNs = uint64(wait.Nanoseconds())
-	res.ProcessNs = uint64(elapsed.Nanoseconds())
-	if t.walNotDurable {
-		res.Flags |= ResultFlagNotDurable
-	}
-	payload, err := EncodeResult(res)
+	decoded := s.framePool.Get(t.frame.DriftBins, t.frame.TOFBins)
+	hr, err := off.DeconvolveFrameInto(ctx, decoded, t.frame)
 	if err != nil {
-		s.respondError(t.sess, t.reqID, t.traceID, CodeInternal, err.Error(), t.root,
-			s.eventFor(t, sh.id, CodeInternal, "", err.Error(), wait.Nanoseconds(), elapsed.Nanoseconds()))
-		return
+		return nil, decoded, err
 	}
-	s.respond(t.sess, outMsg{typ: MsgResult, reqID: t.reqID, traceID: t.traceID, payload: payload, root: t.root,
-		ev: s.eventFor(t, sh.id, CodeOK, "", "", wait.Nanoseconds(), elapsed.Nanoseconds())}, CodeOK)
+	return &Result{SimulatedNs: uint64(hr.SimulatedTimeS * 1e9), Saturations: uint64(hr.Saturations)}, decoded, nil
+}
+
+// workerSpan opens a member's worker span; members of a shared CPU decode
+// of two or more frames carry the batch size.
+func (s *Server) workerSpan(sh *shard, t *task) trace.Span {
+	w := t.root.Child("worker")
+	w.SetInt("shard", int64(sh.id))
+	if t.batch > 1 {
+		w.SetInt("coalesce_batch", int64(t.batch))
+	}
+	return w
+}
+
+// spanContext carries span and expires at deadline (never when zero).
+func spanContext(span trace.Span, deadline time.Time) (context.Context, context.CancelFunc) {
+	ctx := trace.ContextWithSpan(context.Background(), span)
+	if deadline.IsZero() {
+		return ctx, func() {}
+	}
+	return context.WithDeadline(ctx, deadline)
+}
+
+// finish answers one computed member: a RESULT carrying res plus the peak
+// summary of decoded (when the compute produced a frame), or the typed
+// error, with elapsed as the member's process time.  decoded goes back to
+// the frame pool; the summary copies everything it keeps.
+func (s *Server) finish(sh *shard, t *task, res *Result, decoded *instrument.Frame, err error, elapsed time.Duration) {
+	defer s.framePool.Put(decoded)
+	s.m.processByPath[t.path].ObserveExemplar(float64(elapsed.Nanoseconds()), t.traceID)
+	if err == nil {
+		if decoded != nil {
+			res.Peaks = s.summarize(decoded)
+		}
+		res.Shard = uint16(sh.id)
+		res.QueueWaitNs = uint64(t.qwait.Nanoseconds())
+		res.ProcessNs = uint64(elapsed.Nanoseconds())
+		if t.walNotDurable {
+			res.Flags |= ResultFlagNotDurable
+		}
+		var payload []byte
+		if payload, err = EncodeResult(res); err == nil {
+			t.answer(s, MsgResult, payload, CodeOK, s.eventFor(t, sh.id, CodeOK, "", "", elapsed.Nanoseconds()))
+			return
+		}
+	}
+	code := CodeInternal
+	switch {
+	case errors.Is(err, context.DeadlineExceeded):
+		code = CodeDeadlineExceeded
+	case errors.Is(err, context.Canceled):
+		code = CodeUnavailable
+	default:
+		s.log.Error("frame failed", "shard", sh.id, "req_id", t.reqID, "trace_id", t.traceID, "err", err)
+	}
+	t.answerError(s, code, err.Error(), s.eventFor(t, sh.id, code, "", err.Error(), elapsed.Nanoseconds()))
 }
 
 // payloadBuf returns a pooled buffer of exactly n bytes for one FRAME
@@ -771,47 +943,6 @@ func (s *Server) payloadBuf(n int) *[]byte {
 	// Too small to reuse (or none pooled): allocate a fresh one.
 	b := make([]byte, n)
 	return &b
-}
-
-// releaseInput returns a task's input frame to the frame pool once the
-// task is answered.  The session Got it from the same pool at decode, and
-// frames are interchangeable by backing capacity.
-func (s *Server) releaseInput(t *task) {
-	s.framePool.Put(t.frame)
-	t.frame = nil
-}
-
-// compute runs the selected backend and summarizes the deconvolved frame.
-// Output frames come from the server's frame pool and go back to it once
-// the summary (which copies everything it keeps) is built.
-func (s *Server) compute(ctx context.Context, ws *workerState, t *task) (*Result, error) {
-	if s.processHook != nil {
-		return s.processHook(t)
-	}
-	decoded := s.framePool.Get(t.frame.DriftBins, t.frame.TOFBins)
-	defer s.framePool.Put(decoded)
-	res := &Result{}
-	switch t.path {
-	case PathHybrid:
-		off, err := ws.offloader(s.offload)
-		if err != nil {
-			return nil, err
-		}
-		hr, err := off.DeconvolveFrameInto(ctx, decoded, t.frame)
-		if err != nil {
-			return nil, err
-		}
-		res.SimulatedNs = uint64(hr.SimulatedTimeS * 1e9)
-		res.Saturations = uint64(hr.Saturations)
-	case PathCPU:
-		if err := pipeline.DeconvolveFrameIntoContext(ctx, decoded, t.frame, s.decoder, s.cfg.CPUWorkersPerFrame, s.cfg.Metrics); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("acqserver: unknown path %v", t.path)
-	}
-	res.Peaks = s.summarize(decoded)
-	return res, nil
 }
 
 // summarize detects the strongest drift-profile peaks of a deconvolved
@@ -857,15 +988,15 @@ func (s *Server) respond(sess *session, m outMsg, code Code) {
 	sess.send(m)
 }
 
-// respondError queues a typed ERROR.  The trace id is echoed on the wire
-// (version-2 sessions) so the client can tell exactly which frame failed;
-// root, when active, is closed by the write loop after the error goes out.
-// ev, when non-nil, is the frame's wide event, recorded once the write
-// completes; protocol-level errors with no accepted frame pass nil.
-func (s *Server) respondError(sess *session, reqID, traceID uint64, code Code, msg string, root trace.Span, ev *flightrec.Event) {
+// respondError queues a typed ERROR for a message that never became a
+// task (protocol errors, rejected payloads).  The trace id is echoed on
+// the wire (version-2 sessions) so the client can tell exactly which frame
+// failed; root, when active, is closed by the write loop after the error
+// goes out.
+func (s *Server) respondError(sess *session, reqID, traceID uint64, code Code, msg string, root trace.Span) {
 	root.SetStr("error", code.String())
 	s.respond(sess, outMsg{
 		typ: MsgError, reqID: reqID, traceID: traceID,
-		payload: EncodeError(code, msg), root: root, ev: ev,
+		payload: EncodeError(code, msg), root: root,
 	}, code)
 }

@@ -204,7 +204,7 @@ func (sess *session) readLoop() {
 			s.m.protocolErrs.Inc()
 			s.respondError(sess, h.ReqID, h.TraceID, CodeTooLarge,
 				fmt.Sprintf("payload %d bytes exceeds bound %d", h.PayloadLen, s.cfg.MaxPayloadBytes),
-				trace.Span{}, nil)
+				trace.Span{})
 			return // cannot resync across an unbounded payload
 		}
 		s.m.bytesIn.Add(int64(headerLen(h.Version)) + int64(h.PayloadLen))
@@ -212,7 +212,7 @@ func (sess *session) readLoop() {
 		if !sawHello && h.Type != MsgHello {
 			s.m.protocolErrs.Inc()
 			s.respondError(sess, h.ReqID, h.TraceID, CodeInvalidArgument,
-				"first message must be HELLO", trace.Span{}, nil)
+				"first message must be HELLO", trace.Span{})
 			return
 		}
 		switch h.Type {
@@ -233,7 +233,7 @@ func (sess *session) readLoop() {
 				return
 			}
 			s.respondError(sess, h.ReqID, h.TraceID, CodeInvalidArgument,
-				fmt.Sprintf("unexpected message type %v", h.Type), trace.Span{}, nil)
+				fmt.Sprintf("unexpected message type %v", h.Type), trace.Span{})
 		}
 	}
 }
@@ -292,7 +292,7 @@ func (sess *session) handleFrame(h Header) bool {
 	if h.PayloadLen < frameOptsSize {
 		s.m.protocolErrs.Inc()
 		s.respondError(sess, h.ReqID, traceID, CodeInvalidArgument,
-			"FRAME payload too short for options", root, nil)
+			"FRAME payload too short for options", root)
 		return false
 	}
 	// Read the whole payload (bounded by MaxPayloadBytes above) into a
@@ -328,18 +328,18 @@ func (sess *session) handleFrame(h Header) bool {
 	s.m.readFrame.ObserveExemplar(float64(time.Since(start).Nanoseconds()), traceID)
 	rspan.End()
 	if decErr != nil {
-		s.respondError(sess, h.ReqID, traceID, CodeInvalidArgument, decErr.Error(), root, nil)
+		s.respondError(sess, h.ReqID, traceID, CodeInvalidArgument, decErr.Error(), root)
 		return true
 	}
 	if opts.Path != PathHybrid && opts.Path != PathCPU {
 		s.respondError(sess, h.ReqID, traceID, CodeInvalidArgument,
-			fmt.Sprintf("unknown path %v", opts.Path), root, nil)
+			fmt.Sprintf("unknown path %v", opts.Path), root)
 		return true
 	}
 	if frame.DriftBins != s.seqLen {
 		s.respondError(sess, h.ReqID, traceID, CodeInvalidArgument,
 			fmt.Sprintf("frame has %d drift bins, server order %d needs %d",
-				frame.DriftBins, s.cfg.Order, s.seqLen), root, nil)
+				frame.DriftBins, s.cfg.Order, s.seqLen), root)
 		return true
 	}
 	root.SetStr("path", opts.Path.String())
@@ -359,7 +359,7 @@ func (sess *session) handleFrame(h Header) bool {
 				// Durability was promised; failing open would lie to the
 				// client.
 				s.respondError(sess, h.ReqID, traceID, CodeInternal,
-					fmt.Sprintf("frame log append failed: %v", err), root, nil)
+					fmt.Sprintf("frame log append failed: %v", err), root)
 				return true
 			}
 			s.log.Warn("framelog append failed; serving without durability",
@@ -385,44 +385,27 @@ func (sess *session) handleFrame(h Header) bool {
 	if opts.Deadline > 0 {
 		t.deadline = t.enqueued.Add(opts.Deadline)
 	}
-	if s.draining.Load() {
-		s.m.shedByReason["draining"].Inc()
-		s.completeWAL(walSeq)
-		s.log.Debug("frame shed", "reason", "draining", "session", sess.id, "req_id", h.ReqID, "trace_id", traceID)
-		s.respondError(sess, h.ReqID, traceID, CodeUnavailable, "daemon is draining", root,
-			s.eventFor(t, sess.shard.id, CodeUnavailable, "draining", "daemon is draining", 0, 0))
+	err = errDraining
+	if !s.draining.Load() {
+		t.qspan = root.Child("queue_wait")
+		t.qspan.SetInt("shard", int64(sess.shard.id))
+		err = sess.shard.enqueue(t, s.effectiveDepth(), s.m.framesByPath[opts.Path])
+	}
+	got = nil // a worker owns the frame now, or the shed answer releases it
+	if err == nil {
 		return true
 	}
-	t.qspan = root.Child("queue_wait")
-	t.qspan.SetInt("shard", int64(sess.shard.id))
-	switch err := sess.shard.enqueue(t, s.effectiveDepth()); err {
-	case nil:
-		got = nil // a worker owns the frame now
-		s.m.framesByPath[opts.Path].Inc()
+	t.qspan.End()
+	reason, code, msg := "draining", CodeUnavailable, "daemon is draining"
+	switch err {
 	case errDegraded:
-		s.m.shedByReason["degraded"].Inc()
-		s.completeWAL(walSeq)
-		s.log.Debug("frame shed", "reason", "degraded", "session", sess.id, "req_id", h.ReqID, "trace_id", traceID, "shard", sess.shard.id)
-		t.qspan.End()
-		msg := fmt.Sprintf("shard %d shedding early: server is degraded", sess.shard.id)
-		s.respondError(sess, h.ReqID, traceID, CodeResourceExhausted, msg, root,
-			s.eventFor(t, sess.shard.id, CodeResourceExhausted, "degraded", msg, 0, 0))
+		reason, code, msg = "degraded", CodeResourceExhausted, fmt.Sprintf("shard %d shedding early: server is degraded", sess.shard.id)
 	case errQueueFull:
-		s.m.shedByReason["queue_full"].Inc()
-		s.completeWAL(walSeq)
-		s.log.Debug("frame shed", "reason", "queue_full", "session", sess.id, "req_id", h.ReqID, "trace_id", traceID, "shard", sess.shard.id)
-		t.qspan.End()
-		msg := fmt.Sprintf("shard %d queue full (depth %d)", sess.shard.id, s.cfg.QueueDepth)
-		s.respondError(sess, h.ReqID, traceID, CodeResourceExhausted, msg, root,
-			s.eventFor(t, sess.shard.id, CodeResourceExhausted, "queue_full", msg, 0, 0))
-	case errDraining:
-		s.m.shedByReason["draining"].Inc()
-		s.completeWAL(walSeq)
-		s.log.Debug("frame shed", "reason", "draining", "session", sess.id, "req_id", h.ReqID, "trace_id", traceID)
-		t.qspan.End()
-		s.respondError(sess, h.ReqID, traceID, CodeUnavailable, "daemon is draining", root,
-			s.eventFor(t, sess.shard.id, CodeUnavailable, "draining", "daemon is draining", 0, 0))
+		reason, code, msg = "queue_full", CodeResourceExhausted, fmt.Sprintf("shard %d queue full (depth %d)", sess.shard.id, s.cfg.QueueDepth)
 	}
+	s.m.shedByReason[reason].Inc()
+	s.log.Debug("frame shed", "reason", reason, "session", sess.id, "req_id", h.ReqID, "trace_id", traceID, "shard", sess.shard.id)
+	t.answerError(s, code, msg, s.eventFor(t, sess.shard.id, code, reason, msg, 0))
 	return true
 }
 

@@ -150,9 +150,10 @@ type Path uint8
 
 // The selectable compute paths.
 const (
-	// PathHybrid runs the modeled FPGA offload (hybrid.HybridDeconvolveFrame).
+	// PathHybrid runs the modeled FPGA offload (hybrid.Offloader).
 	PathHybrid Path = 0
-	// PathCPU runs the software pipeline (pipeline.DeconvolveFrame).
+	// PathCPU runs the software pipeline
+	// (pipeline.DeconvolveFramesIntoContext).
 	PathCPU Path = 1
 )
 

@@ -181,3 +181,59 @@ func TestStringers(t *testing.T) {
 		t.Error("stringer mismatch")
 	}
 }
+
+// FuzzIMSPDecode feeds arbitrary bytes to every IMSP decoder — the wire
+// header, RESULT (with and without the routing trailer), ERROR, HELLO_OK
+// and the FRAME options prefix.  None may panic, and a successful decode
+// must re-encode to the same bytes wherever an encoder exists.
+func FuzzIMSPDecode(f *testing.F) {
+	f.Add(AppendHeader(nil, Header{Version: ProtocolV1, Type: MsgFrame, ReqID: 7, PayloadLen: 42}))
+	f.Add(AppendHeader(nil, Header{Version: ProtocolV2, Type: MsgResult, ReqID: 9, PayloadLen: 36, TraceID: 0xABCD}))
+	for _, r := range []*Result{
+		{Shard: 1, ProcessNs: 5},
+		{Shard: 2, Backend: 3, Attempts: 2, Flags: ResultFlagNotDurable,
+			Peaks: []PeakSummary{{Centroid: 1.5, Height: 10, Area: 20, SNR: 6}}},
+	} {
+		b, err := EncodeResult(r)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Add(EncodeError(CodeDeadlineExceeded, "deadline expired"))
+	f.Add(EncodeServerInfo(ServerInfo{Version: ProtocolVersion, Shards: 4, Order: 9, MaxPayloadBytes: 16 << 20}))
+	f.Add(append(encodeFrameOpts(nil, FrameOptions{Path: PathCPU, Deadline: 250 * time.Millisecond}), "IMSF"...))
+
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if h, err := ReadHeader(bytes.NewReader(b)); err == nil {
+			if got := AppendHeader(nil, h); !bytes.Equal(got, b[:len(got)]) {
+				t.Fatalf("header %+v re-encodes to %x, read from %x", h, got, b[:len(got)])
+			}
+		}
+		if r, err := DecodeResult(b); err == nil {
+			want := b
+			if len(b) == 36+32*len(r.Peaks)+resultTrailerSize && r.Backend == 0 && r.Attempts == 0 && r.Flags == 0 {
+				want = b[:len(b)-resultTrailerSize] // the encoder omits an all-zero trailer
+			}
+			got, err := EncodeResult(r)
+			if err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("RESULT %+v re-encodes to %x (%v), want %x", r, got, err, want)
+			}
+		}
+		if code, msg, err := DecodeError(b); err == nil && len(msg) <= maxErrorMessage {
+			if got := EncodeError(code, msg); !bytes.Equal(got, b) {
+				t.Fatalf("ERROR %v %q re-encodes to %x, want %x", code, msg, got, b)
+			}
+		}
+		if si, err := DecodeServerInfo(b); err == nil {
+			if got := EncodeServerInfo(si); !bytes.Equal(got, b) {
+				t.Fatalf("HELLO_OK %+v re-encodes to %x, want %x", si, got, b)
+			}
+		}
+		if opts, frame, err := SplitFramePayload(b); err == nil {
+			if got := append(encodeFrameOpts(nil, opts), frame...); !bytes.Equal(got, b) {
+				t.Fatalf("FRAME options %+v re-encode to %x, want %x", opts, got, b)
+			}
+		}
+	})
+}

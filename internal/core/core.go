@@ -19,6 +19,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -176,7 +177,8 @@ func (e *Experiment) Run(rng *rand.Rand) (*Result, error) {
 		return nil, err
 	}
 	sp = stageNs("decode").Start()
-	decoded, err := pipeline.DeconvolveFrameWithMetrics(raw, factory, e.Workers, reg)
+	decoded := instrument.NewFrame(raw.DriftBins, raw.TOFBins)
+	err = pipeline.DeconvolveFramesIntoContext(context.Background(), []pipeline.FramePair{{Dst: decoded, Src: raw}}, factory, e.Workers, reg)
 	sp.Stop()
 	if err != nil {
 		return nil, err

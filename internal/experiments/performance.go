@@ -53,7 +53,8 @@ func timeCPUFrame(f *instrument.Frame, order int, reps int, reg *telemetry.Regis
 	factory := func() (hadamard.Decoder, error) { return hadamard.NewFHTDecoder(order) }
 	start := time.Now()
 	for i := 0; i < reps; i++ {
-		if _, err := pipeline.DeconvolveFrameWithMetrics(f, factory, 1, reg); err != nil {
+		dst := instrument.NewFrame(f.DriftBins, f.TOFBins)
+		if err := pipeline.DeconvolveFramesIntoContext(context.Background(), []pipeline.FramePair{{Dst: dst, Src: f}}, factory, 1, reg); err != nil {
 			return 0, err
 		}
 	}
@@ -110,7 +111,8 @@ func E3FPGAvsCPU(seed int64, quick bool) (*Table, error) {
 		factory := func() (hadamard.Decoder, error) { return hadamard.NewFHTDecoder(order) }
 		start := time.Now()
 		for i := 0; i < reps; i++ {
-			if _, err := pipeline.DeconvolveFrame(enc, factory, 0); err != nil {
+			dst := instrument.NewFrame(enc.DriftBins, enc.TOFBins)
+			if err := pipeline.DeconvolveFramesIntoContext(context.Background(), []pipeline.FramePair{{Dst: dst, Src: enc}}, factory, 0, nil); err != nil {
 				return nil, err
 			}
 		}
@@ -166,7 +168,7 @@ func E4CPUScaling(seed int64, quick bool) (*Table, error) {
 	}
 	reg := registry()
 	busyC := reg.Counter("pipeline_worker_busy_ns_total", "cumulative wall time workers spent decoding, nanoseconds")
-	dst := instrument.NewFrame(enc.DriftBins, enc.TOFBins)
+	pair := []pipeline.FramePair{{Dst: instrument.NewFrame(enc.DriftBins, enc.TOFBins), Src: enc}}
 	best := make([]time.Duration, len(counts))
 	bestBusy := make([]int64, len(counts))
 	began := time.Now()
@@ -174,7 +176,7 @@ func E4CPUScaling(seed int64, quick bool) (*Table, error) {
 		for k, workers := range counts {
 			busyBefore := busyC.Value()
 			start := time.Now()
-			if err := pipeline.DeconvolveFrameIntoContext(context.Background(), dst, enc, factory, workers, reg); err != nil {
+			if err := pipeline.DeconvolveFramesIntoContext(context.Background(), pair, factory, workers, reg); err != nil {
 				return nil, err
 			}
 			wall := time.Since(start)

@@ -407,12 +407,12 @@ func (o *Offloader) DeconvolveFrameInto(ctx context.Context, dst, f *instrument.
 		}
 		o.src.Reset(o.core.Len(), lanes)
 		o.dst.Reset(o.core.Len(), lanes)
-		f.GatherColumns(t0, lanes, o.src.Data)
+		f.GatherColumnsAt(t0, lanes, o.src.Data, lanes, 0)
 		if _, err := o.core.DeconvolveBatch(o.dst, o.src); err != nil {
 			fht.End()
 			return nil, err
 		}
-		dst.ScatterColumns(t0, lanes, o.dst.Data)
+		dst.ScatterColumnsAt(t0, lanes, o.dst.Data, lanes, 0)
 	}
 	fht.SetInt("saturations", o.core.Saturations())
 	fht.End()

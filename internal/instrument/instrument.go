@@ -277,41 +277,30 @@ func (f *Frame) SetDriftVector(t int, v []float64) {
 	}
 }
 
-// GatherColumns transposes the lanes m/z columns [t0, t0+lanes) into a
-// row-major column-blocked tile (tile[d*lanes+l] = cell (d, t0+l)) in one
-// cache-friendly pass: both the read of each frame row segment and the
-// write of each tile row are unit-stride copies, unlike the per-column
-// DriftVector gather whose accesses stride by TOFBins.  tile must hold
-// DriftBins×lanes values and is fully overwritten.
-func (f *Frame) GatherColumns(t0, lanes int, tile []float64) {
-	for d := 0; d < f.DriftBins; d++ {
-		copy(tile[d*lanes:(d+1)*lanes], f.Data[d*f.TOFBins+t0:d*f.TOFBins+t0+lanes])
-	}
-}
-
-// ScatterColumns writes a row-major column-blocked tile (the GatherColumns
-// layout) back into m/z columns [t0, t0+lanes), again as unit-stride row
-// segment copies.
-func (f *Frame) ScatterColumns(t0, lanes int, tile []float64) {
-	for d := 0; d < f.DriftBins; d++ {
-		copy(f.Data[d*f.TOFBins+t0:d*f.TOFBins+t0+lanes], tile[d*lanes:(d+1)*lanes])
-	}
-}
-
-// GatherColumnsAt is the offset-aware GatherColumns used when a tile spans
-// several frames (the acqserver coalescer): columns [t0, t0+lanes) of the
-// frame land in lane positions [l0, l0+lanes) of a row-major tile whose
-// rows are tileLanes wide.  Rows beyond the frame's DriftBins are left
-// untouched; lanes outside [l0, l0+lanes) belong to other frames.
+// GatherColumnsAt transposes columns [t0, t0+lanes) of the frame into
+// lane positions [l0, l0+lanes) of a row-major column-blocked tile whose
+// rows are tileLanes wide (tile[d*tileLanes+l0+l] = cell (d, t0+l)), in
+// one cache-friendly pass: both the read of each frame row segment and
+// the write of each tile row are unit-stride copies, unlike the
+// per-column DriftVector gather whose accesses stride by TOFBins.  A tile
+// may span several frames (the acqserver coalescer), so lanes outside
+// [l0, l0+lanes) and rows beyond the frame's DriftBins are left untouched.
 func (f *Frame) GatherColumnsAt(t0, lanes int, tile []float64, tileLanes, l0 int) {
 	for d := 0; d < f.DriftBins; d++ {
 		copy(tile[d*tileLanes+l0:d*tileLanes+l0+lanes], f.Data[d*f.TOFBins+t0:d*f.TOFBins+t0+lanes])
 	}
 }
 
+// GatherColumns is GatherColumnsAt(t0, lanes, tile, lanes, 0): a tile of
+// exactly lanes columns.  The perfbench layer runner cuts its kernel
+// tiles with it.
+func (f *Frame) GatherColumns(t0, lanes int, tile []float64) {
+	f.GatherColumnsAt(t0, lanes, tile, lanes, 0)
+}
+
 // ScatterColumnsAt writes lane positions [l0, l0+lanes) of a row-major
 // tile with tileLanes-wide rows back into m/z columns [t0, t0+lanes), the
-// inverse of GatherColumnsAt.
+// inverse of GatherColumnsAt, again as unit-stride row segment copies.
 func (f *Frame) ScatterColumnsAt(t0, lanes int, tile []float64, tileLanes, l0 int) {
 	for d := 0; d < f.DriftBins; d++ {
 		copy(f.Data[d*f.TOFBins+t0:d*f.TOFBins+t0+lanes], tile[d*tileLanes+l0:d*tileLanes+l0+lanes])

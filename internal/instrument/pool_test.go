@@ -34,32 +34,37 @@ func TestFramePoolGetZeroesReusedFrames(t *testing.T) {
 	p.Put(nil) // must not panic
 }
 
+// TestGatherScatterColumnsRoundTrip gathers column ranges into lane
+// offsets of a wider tile and scatters them back into a fresh frame.
 func TestGatherScatterColumnsRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	f := NewFrame(7, 13)
 	for i := range f.Data {
 		f.Data[i] = rng.Float64()
 	}
-	for _, tc := range []struct{ t0, lanes int }{{0, 1}, {0, 13}, {3, 4}, {11, 2}} {
-		tile := make([]float64, f.DriftBins*tc.lanes)
-		f.GatherColumns(tc.t0, tc.lanes, tile)
+	for _, tc := range []struct{ t0, lanes, tileLanes, l0 int }{
+		{0, 1, 1, 0}, {0, 13, 13, 0}, {3, 4, 4, 0}, {11, 2, 2, 0}, // whole-tile
+		{3, 4, 9, 5}, {0, 13, 16, 2}, // a segment of a wider tile
+	} {
+		tile := make([]float64, f.DriftBins*tc.tileLanes)
+		f.GatherColumnsAt(tc.t0, tc.lanes, tile, tc.tileLanes, tc.l0)
 		for l := 0; l < tc.lanes; l++ {
 			want := f.DriftVector(tc.t0 + l)
 			for d := 0; d < f.DriftBins; d++ {
-				if tile[d*tc.lanes+l] != want[d] {
-					t.Fatalf("gather t0=%d lanes=%d lane %d row %d mismatch", tc.t0, tc.lanes, l, d)
+				if tile[d*tc.tileLanes+tc.l0+l] != want[d] {
+					t.Fatalf("gather %+v lane %d row %d mismatch", tc, l, d)
 				}
 			}
 		}
 		// Scatter into a fresh frame and compare the column range.
 		g := NewFrame(f.DriftBins, f.TOFBins)
-		g.ScatterColumns(tc.t0, tc.lanes, tile)
+		g.ScatterColumnsAt(tc.t0, tc.lanes, tile, tc.tileLanes, tc.l0)
 		for l := 0; l < tc.lanes; l++ {
 			got := g.DriftVector(tc.t0 + l)
 			want := f.DriftVector(tc.t0 + l)
 			for d := range got {
 				if got[d] != want[d] {
-					t.Fatalf("scatter t0=%d lanes=%d lane %d row %d mismatch", tc.t0, tc.lanes, l, d)
+					t.Fatalf("scatter %+v lane %d row %d mismatch", tc, l, d)
 				}
 			}
 		}

@@ -1,10 +1,11 @@
-// multiframe.go is the cross-frame batched decode used by the acqserver
-// coalescer: several frames — typically same-order frames from different
-// client sessions — are decoded as one concatenated column space, with
-// column-block tiles spanning frame boundaries.  A batch of narrow frames
-// therefore fills full-width tiles and pays one DecodeBatch call per tile
-// instead of one short call per frame, amortizing the blocked kernel's
-// fixed costs across sessions.
+// multiframe.go is the package's frame-decode entry point.  One frame is
+// the one-pair case; several frames — typically same-order frames the
+// acqserver coalescer gathered from different client sessions — are
+// decoded as one concatenated column space, with column-block tiles
+// spanning frame boundaries.  A batch of narrow frames therefore fills
+// full-width tiles and pays one DecodeBatch call per tile instead of one
+// short call per frame, amortizing the blocked kernel's fixed costs across
+// sessions.
 package pipeline
 
 import (
@@ -41,6 +42,9 @@ type frameSpan struct {
 // All sources must share the decoder's drift-bin count; TOF widths may
 // differ per frame.  Cancellation stops every worker within one block.  On
 // error the destination frames hold partial results and must not be used.
+// workers <= 0 selects GOMAXPROCS; the count is clamped to the number of
+// blocks.  If several workers fail, every distinct error is returned,
+// joined with errors.Join.
 func DeconvolveFramesIntoContext(ctx context.Context, pairs []FramePair, newDecoder DecoderFactory, workers int, reg *telemetry.Registry) error {
 	if len(pairs) == 0 {
 		return nil
@@ -73,10 +77,10 @@ func DeconvolveFramesIntoContext(ctx context.Context, pairs []FramePair, newDeco
 	if workers > blocks {
 		workers = blocks
 	}
-	span := trace.SpanFromContext(ctx).Child("cpu_decode_batch")
-	span.SetInt("frames", int64(len(pairs)))
+	span := trace.SpanFromContext(ctx).Child("cpu_decode")
 	span.SetInt("columns", int64(total))
 	span.SetInt("workers", int64(workers))
+	span.SetInt("frames", int64(len(pairs)))
 	defer span.End()
 	m := newFrameMetrics(reg)
 	m.workers.Set(float64(workers))

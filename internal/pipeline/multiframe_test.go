@@ -32,9 +32,9 @@ func multiframeFixture(t *testing.T, order int, widths []int) []FramePair {
 }
 
 // TestDeconvolveFramesMatchesSingle pins the concatenated-column batch
-// against per-frame DeconvolveFrame, bit for bit, across width mixes where
-// tiles span two and three frames, for 1 and 2 workers, on both decoder
-// paths.
+// against the per-column scalar Decoder.Decode reference, bit for bit,
+// across width mixes where tiles span two and three frames, for 1 and 2
+// workers, on both decoder paths.
 func TestDeconvolveFramesMatchesSingle(t *testing.T) {
 	const order = 5
 	factories := map[string]DecoderFactory{
@@ -61,14 +61,20 @@ func TestDeconvolveFramesMatchesSingle(t *testing.T) {
 					t.Fatalf("%s widths %v workers %d: %v", name, widths, workers, err)
 				}
 				for i, p := range pairs {
-					want, err := DeconvolveFrame(p.Src, factory, 1)
+					ref, err := factory()
 					if err != nil {
 						t.Fatal(err)
 					}
-					for j, v := range p.Dst.Data {
-						if v != want.Data[j] {
-							t.Fatalf("%s widths %v workers %d frame %d cell %d: batch %v != single %v",
-								name, widths, workers, i, j, v, want.Data[j])
+					for c := 0; c < p.Src.TOFBins; c++ {
+						want, err := ref.Decode(p.Src.DriftVector(c))
+						if err != nil {
+							t.Fatal(err)
+						}
+						for d, got := range p.Dst.DriftVector(c) {
+							if got != want[d] {
+								t.Fatalf("%s widths %v workers %d frame %d column %d row %d: batch %v != scalar %v",
+									name, widths, workers, i, c, d, got, want[d])
+							}
 						}
 					}
 				}
@@ -93,6 +99,9 @@ func TestDeconvolveFramesValidation(t *testing.T) {
 	if err := DeconvolveFramesIntoContext(ctx, []FramePair{{Src: good.Src}}, factory, 1, nil); err == nil {
 		t.Error("nil dst accepted")
 	}
+	if err := DeconvolveFramesIntoContext(ctx, []FramePair{{Dst: good.Dst}}, factory, 1, nil); err == nil {
+		t.Error("nil src accepted")
+	}
 	mismatched := FramePair{Dst: instrument.NewFrame(n, 5), Src: instrument.NewFrame(n, 4)}
 	if err := DeconvolveFramesIntoContext(ctx, []FramePair{mismatched}, factory, 1, nil); err == nil {
 		t.Error("geometry mismatch accepted")
@@ -100,6 +109,12 @@ func TestDeconvolveFramesValidation(t *testing.T) {
 	other := FramePair{Dst: instrument.NewFrame(2*n+1, 4), Src: instrument.NewFrame(2*n+1, 4)}
 	if err := DeconvolveFramesIntoContext(ctx, []FramePair{good, other}, factory, 1, nil); err == nil {
 		t.Error("mixed drift-bin batch accepted")
+	}
+	if err := DeconvolveFramesIntoContext(ctx, []FramePair{other}, factory, 1, nil); err == nil {
+		t.Error("decoder length mismatch accepted")
+	}
+	if _, err := NewFrameDecoder(nil, 4); err == nil {
+		t.Error("nil factory accepted by NewFrameDecoder")
 	}
 	cancelled, cancel := context.WithCancel(ctx)
 	cancel()

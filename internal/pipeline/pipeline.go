@@ -11,7 +11,10 @@
 // the result back — no per-column allocation and ~B× less claim contention
 // than the per-column scheme (see docs/PERFORMANCE.md).
 //
-// Both entry points accept an optional telemetry registry; passing nil
+// DeconvolveFramesIntoContext is the one frame-decode entry point: it
+// decodes any number of frames (one is the common case) into caller-owned
+// destinations as one concatenated column space.  It and the
+// StreamProcessor accept an optional telemetry registry; passing nil
 // costs one nil check per event (see BenchmarkTelemetryOverhead in
 // internal/telemetry).  Exported families: pipeline_frames_total,
 // pipeline_columns_total, pipeline_errors_total, pipeline_block_decode_ns,
@@ -21,18 +24,14 @@
 package pipeline
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/hadamard"
 	"repro/internal/instrument"
 	"repro/internal/telemetry"
-	"repro/internal/telemetry/trace"
 )
 
 // DefaultBlockColumns is the column-block width of the batched decode
@@ -93,7 +92,7 @@ func (m *frameMetrics) observeBlock(ns int64, lanes int) {
 
 // FrameDecoder is a reusable per-worker frame decoding engine: one decoder
 // plus the column-block tiles it decodes through.  When the decoder
-// implements hadamard.BatchDecoder, DecodeColumns runs the blocked
+// implements hadamard.BatchDecoder, decodeSpan runs the blocked
 // gather → DecodeBatch → scatter path with zero steady-state allocation;
 // otherwise it falls back to per-column Decode calls.  A FrameDecoder
 // holds mutable scratch and must not be shared between goroutines.
@@ -130,182 +129,6 @@ func NewFrameDecoder(factory DecoderFactory, block int) (*FrameDecoder, error) {
 
 // Len reports the decoder's waveform length (frame drift bins).
 func (fd *FrameDecoder) Len() int { return fd.dec.Len() }
-
-// BlockColumns reports the column-block width.
-func (fd *FrameDecoder) BlockColumns() int { return fd.block }
-
-// DecodeColumns decodes columns [t0, t0+lanes) of src into the same
-// columns of dst.  On the batch path this allocates nothing once the
-// tiles are warm; lanes may be any value in [1, BlockColumns] (shorter
-// tail blocks reuse the same tiles).
-func (fd *FrameDecoder) DecodeColumns(dst, src *instrument.Frame, t0, lanes int) error {
-	if src == nil || dst == nil {
-		return fmt.Errorf("pipeline: nil frame")
-	}
-	n := fd.dec.Len()
-	if src.DriftBins != n {
-		return fmt.Errorf("pipeline: decoder length %d != drift bins %d", n, src.DriftBins)
-	}
-	if dst.DriftBins != src.DriftBins || dst.TOFBins != src.TOFBins {
-		return fmt.Errorf("pipeline: dst frame %dx%d != src %dx%d",
-			dst.DriftBins, dst.TOFBins, src.DriftBins, src.TOFBins)
-	}
-	if t0 < 0 || lanes < 1 || t0+lanes > src.TOFBins {
-		return fmt.Errorf("pipeline: column range [%d,%d) outside frame of %d columns", t0, t0+lanes, src.TOFBins)
-	}
-	if fd.batch == nil {
-		// Fallback for decoders without a blocked kernel (e.g. weighted
-		// matched filters): per-column Decode, which allocates its result.
-		if cap(fd.col) < n {
-			fd.col = make([]float64, n)
-		}
-		col := fd.col[:n]
-		for t := t0; t < t0+lanes; t++ {
-			src.DriftVectorInto(t, col)
-			x, err := fd.dec.Decode(col)
-			if err != nil {
-				return err
-			}
-			dst.SetDriftVector(t, x)
-		}
-		return nil
-	}
-	fd.src.Reset(n, lanes)
-	fd.dst.Reset(n, lanes)
-	src.GatherColumns(t0, lanes, fd.src.Data)
-	if err := fd.batch.DecodeBatch(fd.dst, fd.src); err != nil {
-		return err
-	}
-	dst.ScatterColumns(t0, lanes, fd.dst.Data)
-	return nil
-}
-
-// DeconvolveFrame deconvolves every m/z column of a frame in parallel and
-// returns a new frame of recovered arrival distributions.  workers <= 0
-// selects GOMAXPROCS.  It is equivalent to DeconvolveFrameWithMetrics with
-// a nil registry.
-func DeconvolveFrame(f *instrument.Frame, newDecoder DecoderFactory, workers int) (*instrument.Frame, error) {
-	return DeconvolveFrameWithMetrics(f, newDecoder, workers, nil)
-}
-
-// DeconvolveFrameWithMetrics is DeconvolveFrame with decode latency,
-// worker utilization and error telemetry recorded into reg (nil reg
-// disables instrumentation at ~zero cost).  If several workers fail,
-// every distinct error is returned, joined with errors.Join — no failure
-// is silently dropped.
-func DeconvolveFrameWithMetrics(f *instrument.Frame, newDecoder DecoderFactory, workers int, reg *telemetry.Registry) (*instrument.Frame, error) {
-	return DeconvolveFrameContext(context.Background(), f, newDecoder, workers, reg)
-}
-
-// DeconvolveFrameContext is DeconvolveFrameWithMetrics under a context:
-// each worker checks for cancellation before claiming its next column
-// block, so a server deadline stops the frame within one block's work per
-// worker and the call returns ctx.Err().
-func DeconvolveFrameContext(ctx context.Context, f *instrument.Frame, newDecoder DecoderFactory, workers int, reg *telemetry.Registry) (*instrument.Frame, error) {
-	if f == nil {
-		return nil, fmt.Errorf("pipeline: nil frame")
-	}
-	out := instrument.NewFrame(f.DriftBins, f.TOFBins)
-	if err := DeconvolveFrameIntoContext(ctx, out, f, newDecoder, workers, reg); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// DeconvolveFrameIntoContext deconvolves f into the caller-owned dst frame
-// (same geometry as f, typically from an instrument.FramePool), so the
-// steady-state serving path allocates no output frame.  Workers claim
-// whole column blocks of DefaultBlockColumns columns with one atomic
-// increment each and decode them through per-worker FrameDecoders.
-// workers <= 0 selects GOMAXPROCS; the count is clamped to the number of
-// blocks.  On error dst holds partial results and must not be used.
-func DeconvolveFrameIntoContext(ctx context.Context, dst, f *instrument.Frame, newDecoder DecoderFactory, workers int, reg *telemetry.Registry) error {
-	if f == nil || dst == nil {
-		return fmt.Errorf("pipeline: nil frame")
-	}
-	if dst.DriftBins != f.DriftBins || dst.TOFBins != f.TOFBins {
-		return fmt.Errorf("pipeline: dst frame %dx%d != src %dx%d", dst.DriftBins, dst.TOFBins, f.DriftBins, f.TOFBins)
-	}
-	if newDecoder == nil {
-		return fmt.Errorf("pipeline: nil decoder factory")
-	}
-	block := DefaultBlockColumns
-	blocks := (f.TOFBins + block - 1) / block
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > blocks {
-		workers = blocks
-	}
-	span := trace.SpanFromContext(ctx).Child("cpu_decode")
-	span.SetInt("columns", int64(f.TOFBins))
-	span.SetInt("workers", int64(workers))
-	span.SetInt("block_columns", int64(block))
-	defer span.End()
-	m := newFrameMetrics(reg)
-	m.workers.Set(float64(workers))
-	var next int64 = -1
-	errs := make(chan error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			busy := m.workerBusy.StartSpan()
-			defer busy.Stop()
-			fd, err := NewFrameDecoder(newDecoder, block)
-			if err != nil {
-				errs <- err
-				return
-			}
-			if fd.Len() != f.DriftBins {
-				errs <- fmt.Errorf("pipeline: decoder length %d != drift bins %d", fd.Len(), f.DriftBins)
-				return
-			}
-			for {
-				if err := ctx.Err(); err != nil {
-					errs <- err
-					return
-				}
-				blk := int(atomic.AddInt64(&next, 1))
-				if blk >= blocks {
-					return
-				}
-				t0 := blk * block
-				lanes := block
-				if t0+lanes > f.TOFBins {
-					lanes = f.TOFBins - t0
-				}
-				var start time.Time
-				if m.timed() {
-					start = time.Now()
-				}
-				if err := fd.DecodeColumns(dst, f, t0, lanes); err != nil {
-					errs <- err
-					return
-				}
-				if m.timed() {
-					m.observeBlock(time.Since(start).Nanoseconds(), lanes)
-				}
-				m.columns.Add(int64(lanes))
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	var all []error
-	for err := range errs {
-		if err != nil {
-			m.errs.Inc()
-			all = append(all, err)
-		}
-	}
-	if len(all) > 0 {
-		return errors.Join(all...)
-	}
-	m.frames.Inc()
-	return nil
-}
 
 // Job is one frame travelling through the stream processor.
 type Job struct {
@@ -449,12 +272,9 @@ func (sp *StreamProcessor) processFrame(fd *FrameDecoder, job Job) Result {
 		return Result{Seq: job.Seq, Err: fmt.Errorf("pipeline: decoder length %d != drift bins %d", fd.Len(), f.DriftBins)}
 	}
 	out := instrument.NewFrame(f.DriftBins, f.TOFBins)
-	for t0 := 0; t0 < f.TOFBins; t0 += fd.BlockColumns() {
-		lanes := fd.BlockColumns()
-		if t0+lanes > f.TOFBins {
-			lanes = f.TOFBins - t0
-		}
-		if err := fd.DecodeColumns(out, f, t0, lanes); err != nil {
+	spans := []frameSpan{{pair: FramePair{Dst: out, Src: f}}}
+	for t0 := 0; t0 < f.TOFBins; t0 += fd.block {
+		if err := fd.decodeSpan(spans, t0, min(fd.block, f.TOFBins-t0)); err != nil {
 			return Result{Seq: job.Seq, Err: err}
 		}
 	}

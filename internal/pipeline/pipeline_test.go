@@ -55,10 +55,20 @@ func framesClose(a, b *instrument.Frame, tol float64) bool {
 	return true
 }
 
+// decodeOne decodes f into a fresh frame through the package's one decode
+// entry point, DeconvolveFramesIntoContext, as a batch of one.
+func decodeOne(ctx context.Context, f *instrument.Frame, factory DecoderFactory, workers int) (*instrument.Frame, error) {
+	var dst *instrument.Frame
+	if f != nil {
+		dst = instrument.NewFrame(f.DriftBins, f.TOFBins)
+	}
+	return dst, DeconvolveFramesIntoContext(ctx, []FramePair{{Dst: dst, Src: f}}, factory, workers, nil)
+}
+
 func TestDeconvolveFrameRecoversTruth(t *testing.T) {
 	enc, truth := encodedFrame(t, 6, 32, 60)
 	for _, workers := range []int{1, 2, 4, 0} {
-		got, err := DeconvolveFrame(enc, fhtFactory(6), workers)
+		got, err := decodeOne(context.Background(), enc, fhtFactory(6), workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,27 +79,28 @@ func TestDeconvolveFrameRecoversTruth(t *testing.T) {
 }
 
 func TestDeconvolveFrameErrors(t *testing.T) {
-	if _, err := DeconvolveFrame(nil, fhtFactory(6), 1); err == nil {
+	ctx := context.Background()
+	if _, err := decodeOne(ctx, nil, fhtFactory(6), 1); err == nil {
 		t.Error("nil frame")
 	}
 	enc, _ := encodedFrame(t, 6, 4, 61)
-	if _, err := DeconvolveFrame(enc, nil, 1); err == nil {
+	if _, err := decodeOne(ctx, enc, nil, 1); err == nil {
 		t.Error("nil factory")
 	}
 	// Wrong decoder length.
-	if _, err := DeconvolveFrame(enc, fhtFactory(5), 2); err == nil {
+	if _, err := decodeOne(ctx, enc, fhtFactory(5), 2); err == nil {
 		t.Error("mismatched decoder length should fail")
 	}
 	// Factory error propagates.
 	failing := func() (hadamard.Decoder, error) { return nil, fmt.Errorf("boom") }
-	if _, err := DeconvolveFrame(enc, failing, 2); err == nil {
+	if _, err := decodeOne(ctx, enc, failing, 2); err == nil {
 		t.Error("factory error should propagate")
 	}
 }
 
 func TestDeconvolveFrameMoreWorkersThanColumns(t *testing.T) {
 	enc, truth := encodedFrame(t, 5, 3, 62)
-	got, err := DeconvolveFrame(enc, fhtFactory(5), 64)
+	got, err := decodeOne(context.Background(), enc, fhtFactory(5), 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +211,7 @@ func BenchmarkDeconvolveFrameSerial(b *testing.B) {
 	enc, _ := encodedFrame(b, 9, 64, 400)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := DeconvolveFrame(enc, fhtFactory(9), 1); err != nil {
+		if _, err := decodeOne(context.Background(), enc, fhtFactory(9), 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -210,7 +221,7 @@ func BenchmarkDeconvolveFrameParallel(b *testing.B) {
 	enc, _ := encodedFrame(b, 9, 64, 401)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := DeconvolveFrame(enc, fhtFactory(9), 0); err != nil {
+		if _, err := decodeOne(context.Background(), enc, fhtFactory(9), 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -235,28 +246,38 @@ func TestDeconvolveFrameContextPreCancelled(t *testing.T) {
 	f, _ := encodedFrame(t, 5, 8, 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := DeconvolveFrameContext(ctx, f, func() (hadamard.Decoder, error) {
-		return hadamard.NewFHTDecoder(5)
-	}, 2, nil)
-	if !errors.Is(err, context.Canceled) {
+	if _, err := decodeOne(ctx, f, fhtFactory(5), 2); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 }
 
 func TestDeconvolveFrameContextMidRun(t *testing.T) {
 	f, _ := encodedFrame(t, 5, 64, 1)
-	// One worker: its first pre-column check passes, the second cancels,
-	// so the frame is abandoned after exactly one column of work.
+	// One worker: its first pre-block check passes, the second cancels,
+	// so the frame is abandoned after exactly one block of work.
 	ctx := &countdownCtx{Context: context.Background(), after: 1}
-	out, err := DeconvolveFrameContext(ctx, f, func() (hadamard.Decoder, error) {
-		return hadamard.NewFHTDecoder(5)
-	}, 1, nil)
-	if !errors.Is(err, context.Canceled) {
+	var blocks atomic.Int64
+	counting := func() (hadamard.Decoder, error) {
+		d, err := hadamard.NewFHTDecoder(5)
+		return countingDecoder{d, &blocks}, err
+	}
+	if _, err := decodeOne(ctx, f, counting, 1); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled mid-frame, got %v", err)
 	}
-	if out != nil {
-		t.Fatal("cancelled deconvolution returned a frame")
+	if got := blocks.Load(); got != 1 {
+		t.Fatalf("decoded %d blocks before the cancellation, want 1", got)
 	}
+}
+
+// countingDecoder counts blocked-kernel calls.
+type countingDecoder struct {
+	*hadamard.FHTDecoder
+	blocks *atomic.Int64
+}
+
+func (d countingDecoder) DecodeBatch(dst, src *hadamard.ColumnBlock) error {
+	d.blocks.Add(1)
+	return d.FHTDecoder.DecodeBatch(dst, src)
 }
 
 func TestDeconvolveFrameIntoContextRecoversTruth(t *testing.T) {
@@ -264,7 +285,7 @@ func TestDeconvolveFrameIntoContextRecoversTruth(t *testing.T) {
 	var pool instrument.FramePool
 	for _, workers := range []int{1, 3, 0} {
 		dst := pool.Get(enc.DriftBins, enc.TOFBins)
-		if err := DeconvolveFrameIntoContext(context.Background(), dst, enc, fhtFactory(6), workers, nil); err != nil {
+		if err := DeconvolveFramesIntoContext(context.Background(), []FramePair{{Dst: dst, Src: enc}}, fhtFactory(6), workers, nil); err != nil {
 			t.Fatal(err)
 		}
 		if !framesClose(dst, truth, 1e-6) {
@@ -274,24 +295,27 @@ func TestDeconvolveFrameIntoContextRecoversTruth(t *testing.T) {
 	}
 }
 
-func TestDeconvolveFrameIntoContextErrors(t *testing.T) {
+// TestDeconvolveFramesPairErrors: a one-pair batch rejects a nil
+// destination, a nil source and a destination of the wrong geometry.
+func TestDeconvolveFramesPairErrors(t *testing.T) {
 	enc, _ := encodedFrame(t, 5, 4, 64)
 	dst := instrument.NewFrame(enc.DriftBins, enc.TOFBins)
-	if err := DeconvolveFrameIntoContext(context.Background(), nil, enc, fhtFactory(5), 1, nil); err == nil {
+	ctx := context.Background()
+	if err := DeconvolveFramesIntoContext(ctx, []FramePair{{Src: enc}}, fhtFactory(5), 1, nil); err == nil {
 		t.Error("nil dst accepted")
 	}
-	if err := DeconvolveFrameIntoContext(context.Background(), dst, nil, fhtFactory(5), 1, nil); err == nil {
+	if err := DeconvolveFramesIntoContext(ctx, []FramePair{{Dst: dst}}, fhtFactory(5), 1, nil); err == nil {
 		t.Error("nil src accepted")
 	}
 	bad := instrument.NewFrame(enc.DriftBins, enc.TOFBins+1)
-	if err := DeconvolveFrameIntoContext(context.Background(), bad, enc, fhtFactory(5), 1, nil); err == nil {
+	if err := DeconvolveFramesIntoContext(ctx, []FramePair{{Dst: bad, Src: enc}}, fhtFactory(5), 1, nil); err == nil {
 		t.Error("geometry mismatch accepted")
 	}
 }
 
 // TestFrameDecoderFallbackMatchesBatch routes the same frame through a
 // WeightedDecoder (no blocked kernel — exercises the per-column fallback)
-// and the batched FHT path; with unit weights the outputs must agree.
+// and the batched FHT path; with unit weights both must recover the truth.
 func TestFrameDecoderFallbackMatchesBatch(t *testing.T) {
 	enc, truth := encodedFrame(t, 6, 19, 65)
 	weighted := func() (hadamard.Decoder, error) {
@@ -301,70 +325,75 @@ func TestFrameDecoderFallbackMatchesBatch(t *testing.T) {
 		}
 		return hadamard.NewWeightedDecoder(base), nil
 	}
-	fd, err := NewFrameDecoder(weighted, DefaultBlockColumns)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := instrument.NewFrame(enc.DriftBins, enc.TOFBins)
-	for t0 := 0; t0 < enc.TOFBins; t0 += fd.BlockColumns() {
-		lanes := fd.BlockColumns()
-		if t0+lanes > enc.TOFBins {
-			lanes = enc.TOFBins - t0
-		}
-		if err := fd.DecodeColumns(out, enc, t0, lanes); err != nil {
+	for name, factory := range map[string]DecoderFactory{"fallback": weighted, "batch": fhtFactory(6)} {
+		out, err := decodeOne(context.Background(), enc, factory, 2)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if !framesClose(out, truth, 1e-6) {
-		t.Error("fallback path does not recover truth")
+		if !framesClose(out, truth, 1e-6) {
+			t.Errorf("%s path does not recover truth", name)
+		}
 	}
 }
 
-func TestFrameDecoderDecodeColumnsErrors(t *testing.T) {
-	fd, err := NewFrameDecoder(fhtFactory(5), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc, _ := encodedFrame(t, 5, 8, 66)
-	out := instrument.NewFrame(enc.DriftBins, enc.TOFBins)
-	if err := fd.DecodeColumns(nil, enc, 0, 2); err == nil {
-		t.Error("nil dst accepted")
-	}
-	if err := fd.DecodeColumns(out, enc, 6, 4); err == nil {
-		t.Error("out-of-range block accepted")
-	}
-	if err := fd.DecodeColumns(out, enc, 0, 0); err == nil {
-		t.Error("zero lanes accepted")
-	}
-	wrong, _ := encodedFrame(t, 6, 8, 67)
-	if err := fd.DecodeColumns(instrument.NewFrame(wrong.DriftBins, wrong.TOFBins), wrong, 0, 2); err == nil {
-		t.Error("decoder length mismatch accepted")
-	}
+// TestFrameDecoderErrors: the per-worker FrameDecoder refuses a nil
+// factory, surfaces the factory's own error, and refuses a decoder whose
+// length differs from the frames' drift bins, on both the blocked and the
+// per-column path.
+func TestFrameDecoderErrors(t *testing.T) {
 	if _, err := NewFrameDecoder(nil, 4); err == nil {
 		t.Error("nil factory accepted")
 	}
+	failing := func() (hadamard.Decoder, error) { return nil, errors.New("no decoder") }
+	if _, err := NewFrameDecoder(failing, 4); err == nil {
+		t.Error("factory error swallowed by NewFrameDecoder")
+	}
+	enc, _ := encodedFrame(t, 6, 8, 67)
+	pair := []FramePair{{Dst: instrument.NewFrame(enc.DriftBins, enc.TOFBins), Src: enc}}
+	ctx := context.Background()
+	if err := DeconvolveFramesIntoContext(ctx, pair, failing, 1, nil); err == nil {
+		t.Error("factory error swallowed by DeconvolveFramesIntoContext")
+	}
+	weighted := func() (hadamard.Decoder, error) {
+		base, err := hadamard.NewFHTDecoder(5)
+		if err != nil {
+			return nil, err
+		}
+		return hadamard.NewWeightedDecoder(base), nil
+	}
+	for name, factory := range map[string]DecoderFactory{"fallback": weighted, "batch": fhtFactory(5)} {
+		if err := DeconvolveFramesIntoContext(ctx, pair, factory, 2, nil); err == nil {
+			t.Errorf("%s path: decoder length mismatch accepted", name)
+		}
+	}
 }
 
-// TestFrameDecoderDecodeColumnsAllocs is the pipeline-level allocation
-// gate: once the tiles are warm, decoding a block into a caller-owned
-// frame must not allocate.
-func TestFrameDecoderDecodeColumnsAllocs(t *testing.T) {
+// TestFrameDecoderDecodeSpanAllocs is the pipeline-level allocation gate:
+// once the tiles are warm, decoding blocks into caller-owned frames must
+// not allocate — for one frame and for tiles straddling two frames.
+func TestFrameDecoderDecodeSpanAllocs(t *testing.T) {
 	enc, _ := encodedFrame(t, 8, 64, 68)
+	enc2, _ := encodedFrame(t, 8, 24, 69)
 	fd, err := NewFrameDecoder(fhtFactory(8), DefaultBlockColumns)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := instrument.NewFrame(enc.DriftBins, enc.TOFBins)
-	if err := fd.DecodeColumns(out, enc, 0, DefaultBlockColumns); err != nil {
-		t.Fatal(err)
+	spans := []frameSpan{
+		{pair: FramePair{Dst: instrument.NewFrame(enc.DriftBins, enc.TOFBins), Src: enc}},
+		{pair: FramePair{Dst: instrument.NewFrame(enc2.DriftBins, enc2.TOFBins), Src: enc2}, start: enc.TOFBins},
 	}
-	if a := testing.AllocsPerRun(20, func() {
-		for t0 := 0; t0 < enc.TOFBins; t0 += DefaultBlockColumns {
-			if err := fd.DecodeColumns(out, enc, t0, DefaultBlockColumns); err != nil {
+	total := enc.TOFBins + enc2.TOFBins
+	decodeAll := func(cols int) {
+		for g0 := 0; g0 < cols; g0 += DefaultBlockColumns {
+			if err := fd.decodeSpan(spans, g0, min(DefaultBlockColumns, cols-g0)); err != nil {
 				t.Fatal(err)
 			}
 		}
-	}); a != 0 {
-		t.Errorf("DecodeColumns allocates %g per frame in steady state", a)
+	}
+	decodeAll(total)
+	for _, cols := range []int{enc.TOFBins, total} {
+		if a := testing.AllocsPerRun(20, func() { decodeAll(cols) }); a != 0 {
+			t.Errorf("decodeSpan over %d columns allocates %g per pass in steady state", cols, a)
+		}
 	}
 }
